@@ -45,27 +45,25 @@ let enumeration_bench mode name ~depth =
     (Staged.stage (fun () ->
          ignore (Universe.enumerate ~mode (chatter ~n:3 ~k:2) ~depth)))
 
-(* -- P6: parallel enumeration / extent (scaling with ?domains) --------- *)
+(* -- P6: enumeration / extent at scale ---------------------------------- *)
 
-let enumeration_domains_bench ~depth ~domains =
+let enumeration_depth_bench ~depth =
   Test.make
-    ~name:(Printf.sprintf "enumerate/depth=%d/domains=%d" depth domains)
+    ~name:(Printf.sprintf "enumerate/depth=%d" depth)
     (Staged.stage (fun () ->
-         ignore
-           (Universe.enumerate ~mode:`Canonical ~domains (chatter ~n:3 ~k:3)
-              ~depth)))
+         ignore (Universe.enumerate ~mode:`Canonical (chatter ~n:3 ~k:3) ~depth)))
 
-let extent_domains_bench ~depth ~domains =
+let extent_bench ~depth =
   let u = Universe.enumerate ~mode:`Canonical (chatter ~n:3 ~k:3) ~depth in
   let busy =
-    (* deliberately heavier than a field probe, so the per-index work
-       dominates the fork/join overhead being measured *)
+    (* heavier than a field probe, so the per-index predicate work
+       dominates the loop *)
     Prop.make "busy" (fun z ->
         List.length (Universe.canon u z |> Trace.to_list) mod 2 = 0)
   in
   Test.make
-    ~name:(Printf.sprintf "extent/U=%d/domains=%d" (Universe.size u) domains)
-    (Staged.stage (fun () -> ignore (Prop.extent ~domains u busy)))
+    ~name:(Printf.sprintf "extent/U=%d" (Universe.size u))
+    (Staged.stage (fun () -> ignore (Prop.extent u busy)))
 
 (* -- P3: chain detection vs trace length ------------------------------- *)
 
@@ -215,11 +213,6 @@ let dependency_bench hops =
          let hb = Hpl_clocks.Dependency.reconstruct ~n:4 z in
          ignore (hb 0 0)))
 
-(* on a 1-core container domains>1 enumeration rows record pure spawn
-   overhead, not scaling signal — skip them rather than pollute the
-   perf trajectory with noise *)
-let multicore = Domain.recommended_domain_count () > 1
-
 (* a function, not a top-level value: several of these tests capture
    prebuilt universes, and keeping them live for the whole process
    would tax every later wall-clock measurement with major-GC work
@@ -238,9 +231,9 @@ let all_tests () =
        enumeration_bench `Canonical "enumerate/canonical" ~depth:5;
        fault_enumeration_bench "drop" "drop:p0->p1" ~depth:6;
        fault_enumeration_bench "crash" "crash-any:1" ~depth:6;
-       enumeration_domains_bench ~depth:6 ~domains:1;
-       enumeration_domains_bench ~depth:7 ~domains:1;
-       extent_domains_bench ~depth:6 ~domains:1;
+       enumeration_depth_bench ~depth:6;
+       enumeration_depth_bench ~depth:7;
+       extent_bench ~depth:6;
        lint_vs_enumerate_bench `Static ~depth:5;
        lint_vs_enumerate_bench `Enumerate ~depth:5;
        chain_bench 50;
@@ -251,17 +244,7 @@ let all_tests () =
        vclock_bench 200;
        bitset_bench 10_000;
        bitset_bench 100_000;
-     ]
-    @
-    if multicore then
-      [
-        enumeration_domains_bench ~depth:6 ~domains:2;
-        enumeration_domains_bench ~depth:6 ~domains:4;
-        enumeration_domains_bench ~depth:7 ~domains:2;
-        enumeration_domains_bench ~depth:7 ~domains:4;
-        extent_domains_bench ~depth:6 ~domains:4;
-      ]
-    else [])
+     ])
 
 (* -- observability phase breakdown -------------------------------------
 
@@ -294,7 +277,7 @@ let min_time_ns ~runs f =
 let minwall_enumerate () =
   min_time_ns ~runs:15 (fun () ->
       Universe.size
-        (Universe.enumerate ~mode:`Canonical ~domains:1 ~reduce:Reduction.none
+        (Universe.enumerate ~mode:`Canonical ~reduce:Reduction.none
            (chatter ~n:3 ~k:3) ~depth:7))
 
 let minwall_bitset () =
@@ -475,8 +458,7 @@ let phase_rows () =
   Hpl_obs.reset ();
   Hpl_obs.enable ();
   ignore
-    (Universe.enumerate ~mode:`Canonical ~domains:1 (chatter ~n:3 ~k:3)
-       ~depth:7);
+    (Universe.enumerate ~mode:`Canonical (chatter ~n:3 ~k:3) ~depth:7);
   Hpl_obs.disable ();
   let rows =
     List.map
@@ -677,9 +659,6 @@ let write_bench_json path rows =
 
 let run_benchmarks () =
   print_endline "\n=== microbenchmarks (bechamel, monotonic clock) ===";
-  if not multicore then
-    print_endline
-      "  (1 recommended domain: domains>1 enumeration rows skipped)";
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in

@@ -32,9 +32,10 @@ let exit_usage = 2
 let exit_truncated = 3
 
 (* Bad [-s]/[--depth]/[--faults]/budget arguments die with one line on
-   stderr and exit 2 — which is why those flags are parsed here as
-   strings rather than through [Arg.conv] (whose failures exit with
-   cmdliner's generic CLI error code). *)
+   stderr and exit 2. Those flags are parsed here as strings, shared
+   with the server through [Query], so both front ends print the same
+   diagnostic; errors cmdliner itself detects are mapped to the same
+   contract at the bottom of this file. *)
 let die_usage fmt =
   Printf.ksprintf
     (fun m ->
@@ -202,21 +203,16 @@ let mode_arg =
     & info [ "m"; "mode" ] ~docv:"MODE"
         ~doc:"Enumeration mode: 'full' (all interleavings) or 'canonical'.")
 
-let domains_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "domains" ] ~docv:"D"
-        ~doc:"Worker domains for parallel enumeration (results are deterministic).")
-
 let reduce_arg =
   Arg.(
     value & opt string "none"
     & info [ "reduce" ] ~docv:"R"
         ~doc:
           "Reduction layer (DESIGN.md §10): 'none', 'por' (partial-order — \
-           bit-identical universe, computed faster), 'sym' (symmetry \
-           quotient; requires a protocol with declared generators, see \
-           $(b,hpl list -v)), or 'full' (both).")
+           on $(b,enumerate), prunes with the static independence of \
+           $(b,hpl flow) when it applies; otherwise the same universe as \
+           'none'), 'sym' (symmetry quotient; requires a protocol with \
+           declared generators, see $(b,hpl list -v)), or 'full' (both).")
 
 let resolve_reduce st ~mode ?indep reduce_str =
   die (Query.resolve_reduce st ~mode ?indep reduce_str)
@@ -233,14 +229,14 @@ let emit_outcome obs (o : Query.outcome) =
 
 (* -- enumerate ---------------------------------------------------------- *)
 
-let enumerate proto file depth faults max_states max_seconds mode domains
-    reduce verbose obs =
+let enumerate proto file depth faults max_states max_seconds mode reduce
+    verbose obs =
   obs_setup obs;
   let st = resolve proto file depth faults max_states max_seconds in
   (* enumerate is the one subcommand that attaches the static
      independence relation to a por reduction (~indep:true) *)
   let reduce = resolve_reduce st ~mode ~indep:true reduce in
-  let u = Query.enumerate ~mode ~domains st ~reduce in
+  let u = Query.enumerate ~mode st ~reduce in
   let o = Query.run_stats u in
   print_string o.Query.out;
   if verbose then
@@ -257,7 +253,7 @@ let enumerate_cmd =
     (Cmd.info "enumerate" ~doc:"Enumerate a protocol's bounded computation universe")
     Term.(
       const enumerate $ proto_arg $ file_arg $ depth_arg $ faults_arg
-      $ max_states_arg $ max_seconds_arg $ mode_arg $ domains_arg $ reduce_arg
+      $ max_states_arg $ max_seconds_arg $ mode_arg $ reduce_arg
       $ verbose $ obs_term)
 
 (* -- diagram ------------------------------------------------------------- *)
@@ -658,15 +654,15 @@ let commit_cmd =
 
 (* -- check (epistemic-temporal model checking) ------------------------------------ *)
 
-let check_formula proto file depth faults max_states max_seconds mode domains
-    reduce formula_text obs =
+let check_formula proto file depth faults max_states max_seconds mode reduce
+    formula_text obs =
   obs_setup obs;
   match Formula.parse formula_text with
   | Error e -> die_usage "parse error: %s" e
   | Ok f ->
       let st = resolve proto file depth faults max_states max_seconds in
       let reduce = resolve_reduce st ~mode reduce in
-      let u = Query.enumerate ~mode ~domains st ~reduce in
+      let u = Query.enumerate ~mode st ~reduce in
       emit_outcome obs (Query.run_check st u f)
 
 let check_cmd =
@@ -684,7 +680,7 @@ let check_cmd =
        ~doc:"Model-check an epistemic-temporal formula over a system's universe")
     Term.(
       const check_formula $ proto_arg $ file_arg $ depth_arg $ faults_arg
-      $ max_states_arg $ max_seconds_arg $ mode_arg $ domains_arg $ reduce_arg
+      $ max_states_arg $ max_seconds_arg $ mode_arg $ reduce_arg
       $ formula $ obs_term)
 
 (* -- mc (Monte Carlo statistical estimation) ------------------------------- *)
@@ -1455,10 +1451,17 @@ let serve_cmd =
           on-disk snapshots")
     Term.(const serve $ pipe $ socket $ max_cached $ cache_dir)
 
+(* cmdliner reports a command-line error (unknown option or command, bad
+   option value, missing argument) in three lines — message, usage, help
+   hint — and exits 124. The documented contract is one line on stderr
+   and exit 2, so the message line is kept and the code mapped; an
+   uncaught exception keeps cmdliner's full report and code 125. *)
 let () =
   let doc = "explore the systems of 'How Processes Learn' (Chandy & Misra 1985)" in
-  exit
-    (Cmd.eval
+  let err_buf = Buffer.create 256 in
+  let err = Format.formatter_of_buffer err_buf in
+  let result =
+    Cmd.eval_value ~err
        (Cmd.group (Cmd.info "hpl" ~version:"1.0.0" ~doc)
           [
             list_cmd;
@@ -1483,4 +1486,17 @@ let () =
             knew_cmd;
             paxos_cmd;
             commit_cmd;
-          ]))
+          ])
+  in
+  Format.pp_print_flush err ();
+  let report = Buffer.contents err_buf in
+  match result with
+  | Ok (`Ok () | `Version | `Help) -> exit 0
+  | Error (`Parse | `Term) ->
+      (match String.split_on_char '\n' report with
+      | line :: _ when line <> "" -> prerr_endline line
+      | _ -> ());
+      exit exit_usage
+  | Error `Exn ->
+      prerr_string report;
+      exit Cmd.Exit.internal_error

@@ -80,67 +80,78 @@ let resolve mode ~symmetry:g =
   | `Sym, Some g -> Ok (sym g)
   | `Full, Some g -> Ok (full g)
 
-(* --- ample filter ---------------------------------------------------
+(* --- incremental canonicity ------------------------------------------
 
-   The persistent-set analogue of [Universe.snoc_is_canonical]: an
-   extension [(z; e)] is kept iff [e] is not preceded, at or after the
-   position where it first became available, by any event greater than
-   it. The baseline recomputes availability by scanning [z] per
-   candidate; here the per-state context precomputes
-   - the suffix maxima of [z]'s events,
-   - the position of each process's last event (the same-process direct
-     predecessor of any extension on it), and
-   - the position of each send (the direct predecessor of its receive),
-   making each candidate test O(1). The kept set is exactly the
-   baseline's, so reduced-without-symmetry enumeration is bit-identical
-   to the seed — only faster. *)
+   An extension [(z; e)] of a canonical [z] is canonical iff no event
+   placed at or after the position where [e] became available — right
+   after its last direct predecessor — is greater than [e]. Rescanning
+   [z] for that per candidate costs O(length); here the context carried
+   from parent to child holds what the test needs:
 
-module Ample = struct
+   - the suffix-maximum records of [z] (the events greater than every
+     later event), newest first. [Event.compare] orders by pid and then
+     by lseq, so an event is always smaller than a later event of its
+     own process: only a process's last event can be a record, and
+     there is at most one record per pid. Newest first, the records
+     increase.
+   - the position of each process's last event — the same-process
+     direct predecessor of any extension on it;
+   - the send position of each in-flight message — the direct
+     predecessor of its receive.
+
+   [keep] walks the records at or after the availability position and
+   [step] drops the records the new event dominates, so both cost O(n)
+   for n processes, independent of the trace length. *)
+
+module Canon = struct
+  type records = Nil | Rec of { pos : int; ev : Event.t; older : records }
+
   type ctx = {
     len : int;
-    suffix_max : Event.t array;
+    records : records; (* newest first, increasing *)
     last_pos : int array; (* per pid, -1 when the process has no event *)
-    send_pos : (Pid.t * int, int) Hashtbl.t; (* Msg.key -> position *)
+    sends : (Msg.t * int) list; (* in-flight messages and their send positions *)
   }
 
-  let make ~n z =
-    let events = Array.of_list (Trace.to_list z) in
-    let len = Array.length events in
-    let suffix_max =
-      if len = 0 then [||]
-      else begin
-        let sm = Array.make len events.(len - 1) in
-        for i = len - 2 downto 0 do
-          sm.(i) <-
-            (if Event.compare events.(i) sm.(i + 1) > 0 then events.(i)
-             else sm.(i + 1))
-        done;
-        sm
-      end
-    in
-    let last_pos = Array.make n (-1) in
-    let send_pos = Hashtbl.create (2 * len) in
-    Array.iteri
-      (fun i e ->
-        last_pos.(Pid.to_int e.Event.pid) <- i;
-        match e.Event.kind with
-        | Event.Send m -> Hashtbl.replace send_pos (Msg.key m) i
-        | Event.Receive _ | Event.Internal _ -> ())
-      events;
-    { len; suffix_max; last_pos; send_pos }
+  let empty ~n = { len = 0; records = Nil; last_pos = Array.make n (-1); sends = [] }
+
+  let rec send_pos m = function
+    | [] -> -1
+    | (m', i) :: rest -> if Msg.equal m m' then i else send_pos m rest
 
   let keep ctx e =
     let same_pid = ctx.last_pos.(Pid.to_int e.Event.pid) in
     let from_send =
       match e.Event.kind with
-      | Event.Receive m -> (
-          match Hashtbl.find_opt ctx.send_pos (Msg.key m) with
-          | Some i -> i
-          | None -> -1)
+      | Event.Receive m -> send_pos m ctx.sends
       | Event.Send _ | Event.Internal _ -> -1
     in
     let avail = 1 + max same_pid from_send in
-    avail >= ctx.len || Event.compare ctx.suffix_max.(avail) e < 0
+    let rec below = function
+      | Rec r when r.pos >= avail -> Event.compare r.ev e < 0 && below r.older
+      | Rec _ | Nil -> true
+    in
+    below ctx.records
+
+  let step ctx e =
+    let rec drop = function
+      | Rec r when Event.compare r.ev e < 0 -> drop r.older
+      | rs -> rs
+    in
+    let last_pos = Array.copy ctx.last_pos in
+    last_pos.(Pid.to_int e.Event.pid) <- ctx.len;
+    let sends =
+      match e.Event.kind with
+      | Event.Send m -> (m, ctx.len) :: ctx.sends
+      | Event.Receive m -> List.filter (fun (m', _) -> not (Msg.equal m m')) ctx.sends
+      | Event.Internal _ -> ctx.sends
+    in
+    {
+      len = ctx.len + 1;
+      records = Rec { pos = ctx.len; ev = e; older = drop ctx.records };
+      last_pos;
+      sends;
+    }
 end
 
 (* --- incremental enabled sets ---------------------------------------

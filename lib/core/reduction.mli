@@ -7,11 +7,12 @@
       [\[D\]]-classes. Exactness of knowledge queries on the reduced
       universe is recovered by quantifying over the orbit expansion
       ({!Knowledge.knows} does this automatically).
-    - {e partial order} ([por]): the persistent-set style filter plus
-      incremental enabled-set maintenance. Plain {!por} produces a
-      universe {e bit-identical} to the unreduced canonical enumeration
-      — same computations, same order, same class ids — only faster, so
-      it is always safe.
+    - {e partial order} ([por]): the carrier of a static
+      {!Independence.t}. Every enumeration already expands through the
+      incremental enabled-set and canonicity contexts below, so plain
+      {!por} produces a universe {e bit-identical} to [none] — same
+      computations, same order, same class ids — at the same cost; only
+      an attached independence relation makes it prune.
 
     [full] combines both. Reductions require [`Canonical] mode.
 
@@ -88,19 +89,25 @@ val resolve : mode -> symmetry:Symmetry.group option -> (t, string) result
 
 (** {2 Enumeration internals}
 
-    Used by {!Universe.enumerate}; exposed for the property tests that
-    cross-validate them against the baseline definitions. *)
+    The expansion state {!Universe.enumerate} carries from parent to
+    child along the BFS frontier, in every mode and under every
+    reduction; exposed for the property tests that cross-validate them
+    against the baseline definitions. *)
 
-module Ample : sig
+module Canon : sig
   type ctx
 
-  val make : n:int -> Trace.t -> ctx
-  (** Per-state precomputation: suffix maxima, last event position per
-      process, send positions. O(length + n). *)
+  val empty : n:int -> ctx
+  (** Context of the empty computation over [n] processes. *)
 
   val keep : ctx -> Event.t -> bool
-  (** Exactly [Universe]'s snoc-canonicity of the extension, in O(1)
-      per candidate. *)
+  (** [keep ctx e], for [e] enabled after the context's (canonical)
+      computation [z]: is [(z; e)] again the lexicographically least
+      linearization of its [\[D\]]-class? O(n): the context holds at
+      most one suffix-maximum record per process. *)
+
+  val step : ctx -> Event.t -> ctx
+  (** Context of the one-event extension. O(n + in-flight messages). *)
 end
 
 module Enabled : sig

@@ -97,55 +97,48 @@ let canon_trace z =
   in
   go (Trace.to_list z) []
 
-(* [z] canonical, [e] enabled after [z]: is [(z;e)] canonical?  [e]
-   becomes available right after its last direct predecessor; canonical
-   means no later-placed event exceeds [e]. *)
-let snoc_is_canonical z e =
-  let events = Trace.to_list z in
-  let _, avail =
-    List.fold_left
-      (fun (i, avail) c ->
-        (i + 1, if is_direct_pred ~of_:e c then i + 1 else avail))
-      (0, 0) events
-  in
-  let rec check i = function
-    | [] -> true
-    | c :: rest ->
-        if i < avail then check (i + 1) rest
-        else Event.compare c e < 0 && check (i + 1) rest
-  in
-  check 0 events
-
 (* --- enumeration --------------------------------------------------- *)
 
-(* Each BFS node carries its trace plus the vector of per-process class
-   ids of its projections. A child differs from its parent in exactly
-   one slot (the extending event's process), so maintaining the vector
-   is O(n) per child and the post-hoc O(N·n·depth) re-projection pass
-   is gone entirely.
+(* One expansion path serves every mode and every reduction. A frontier
+   node carries, besides its trace and the vector of per-process class
+   ids of its projections, the expansion state its children inherit:
 
-   Parallelism: the effect-free, expensive half of a level — enabled
-   events, the canonicity filter, [Trace.snoc] — is fanned out across
-   [domains] stdlib domains in contiguous frontier blocks; each worker
-   writes only its own slots of the output array. The effectful half
-   (class-id interning, appending to the accumulator) runs sequentially
-   in frontier order afterwards, so [comps], [idx] and every class id
-   are bit-identical for any [domains]. *)
+   - [en], the per-process enabled sets and the in-flight pool
+     ({!Reduction.Enabled}): a child recomputes at most two processes'
+     enabled sets instead of rescanning the whole trace;
+   - [canon], the incremental canonicity context ({!Reduction.Canon}),
+     in [`Canonical] mode without symmetry — the only mode that filters
+     extensions by canonicity;
+   - [orbit], under symmetry, the renamed projection vector of every
+     group element's action on the node, identity first, so a child's
+     class key and orbit key are maintained by consing one renamed
+     event — no trace is ever re-traversed or permuted wholesale.
+
+   A child's class-id vector differs from its parent's in exactly one
+   slot (the extending event's process), so maintaining it is O(n).
+   Stored computations keep only the trace and the class ids: expansion
+   state lives on the frontier alone, and children at the depth bound
+   never get any. *)
+type node = {
+  z : Trace.t;
+  ids : int array;
+  en : Reduction.Enabled.ctx;
+  canon : Reduction.Canon.ctx option;
+  orbit : Symmetry.key array; (* [||] without symmetry *)
+}
+
 exception Out_of_budget of trunc_reason
 
-let enumerate ?(mode = `Canonical) ?(domains = 1) ?(budget = no_budget)
+let enumerate ?(mode = `Canonical) ?(budget = no_budget)
     ?(reduce = Reduction.none) spec ~depth =
   if depth < 0 then invalid_arg "Universe.enumerate: negative depth";
-  if domains < 1 then invalid_arg "Universe.enumerate: domains < 1";
   if mode = `Full && not (Reduction.is_none reduce) then
     invalid_arg "Universe.enumerate: reductions require `Canonical mode";
   let group = Reduction.symmetry reduce in
-  let por = Reduction.uses_por reduce in
   Hpl_obs.span "enumerate"
     ~args:(fun () ->
       [
         ("depth", string_of_int depth);
-        ("domains", string_of_int domains);
         ("mode", match mode with `Full -> "full" | `Canonical -> "canonical");
         ("reduce", Reduction.label reduce);
       ])
@@ -179,105 +172,52 @@ let enumerate ?(mode = `Canonical) ?(domains = 1) ?(budget = no_budget)
   (* under symmetry the canonicity filter is unsound — a stored orbit
      representative can reach a fresh orbit only through a non-canonical
      interleaving — so sym mode keeps every extension and dedups by
-     orbit key in the merge instead *)
-  let keep z e =
-    match mode with
-    | `Full -> true
-    | `Canonical -> Option.is_some group || snoc_is_canonical z e
-  in
+     orbit key instead *)
+  let canonical = mode = `Canonical && group = None in
   (* ample-set restriction: only with por, only when the static
      independence relation certifies no depth-truncation — then every
      leaf is blocked and Reduction.restrict preserves all blocked
      classes (see reduction.ml) *)
   let indep_active =
-    if por && mode = `Canonical && group = None then
+    if canonical && Reduction.uses_por reduce then
       match Reduction.independence reduce with
       | Some ind when Reduction.Independence.applicable ind ~depth -> Some ind
       | _ -> None
     else None
   in
-  let children z en =
-    let cands =
-      match en with
-      | Some ctx -> Reduction.Enabled.events ctx
-      | None -> Spec.enabled spec z
-    in
+  let kept node =
+    let cands = Reduction.Enabled.events node.en in
     let restricted =
-      match (indep_active, en) with
-      | Some ind, Some ctx -> Reduction.restrict ind ctx cands
-      | _ -> cands
+      match indep_active with
+      | Some ind -> Reduction.restrict ind node.en cands
+      | None -> cands
     in
-    let kept =
-      if por && mode = `Canonical && group = None then
-        let ctx = Reduction.Ample.make ~n z in
-        List.filter (Reduction.Ample.keep ctx) restricted
-      else List.filter (keep z) restricted
-    in
-    let pruned = List.length cands - List.length kept in
-    ( List.map
-        (fun e ->
-          ( e,
-            Trace.snoc z e,
-            Option.map (fun ctx -> Reduction.Enabled.step spec ctx e) en ))
-        kept,
-      pruned )
+    match node.canon with
+    | Some c -> (cands, List.filter (Reduction.Canon.keep c) restricted)
+    | None -> (cands, restricted)
   in
-  let expand frontier =
-    let m = Array.length frontier in
-    let out = Array.make m ([], 0) in
-    let fill lo hi =
-      for i = lo to hi - 1 do
-        let z, _, en, _ = frontier.(i) in
-        out.(i) <- children z en
-      done
-    in
-    (* each worker records its own span (tid = its domain id), so the
-       profile shows per-domain timelines and utilization *)
-    let fill_span w lo hi =
-      Hpl_obs.span "enumerate.worker"
-        ~args:(fun () ->
-          [ ("worker", string_of_int w); ("parents", string_of_int (hi - lo)) ])
-        (fun () -> fill lo hi)
-    in
-    let k = if domains > 1 && m >= 2 * domains then domains else 1 in
-    if k = 1 then fill_span 0 0 m
-    else begin
-      let block w = (w * m / k, (w + 1) * m / k) in
-      let workers =
-        List.init (k - 1) (fun w ->
-            let lo, hi = block (w + 1) in
-            Domain.spawn (fun () -> fill_span (w + 1) lo hi))
-      in
-      let lo, hi = block 0 in
-      fill_span 0 lo hi;
-      (* the joins establish happens-before on every [out] slot *)
-      List.iter Domain.join workers
-    end;
-    out
-  in
+  (* stored computations, newest first, with their class-id vectors;
+     budget checks happen here, so max_states truncation keeps a
+     deterministic prefix of the discovery order *)
   let acc = ref [] and count = ref 0 in
-  let push node =
+  let push z ids =
     (match budget.max_states with
     | Some k when !count >= k ->
         Hpl_obs.instant "enumerate.budget" ~args:[ ("reason", "max_states") ];
         raise (Out_of_budget (Max_states k))
     | _ -> ());
-    acc := node :: !acc;
+    acc := (z, ids) :: !acc;
     incr count
   in
+  push Trace.empty (Array.make n 0);
   (* symmetry bookkeeping: [class_seen] memoizes the orbit decision per
      [D]-class (identity projection vector), [orbit_idx] maps each orbit
      key to its stored representative, [sigma_acc] records per stored
-     node the σ attaining its key (reverse discovery order, like !acc) *)
+     node the σ attaining its key (newest first, like !acc) *)
   let class_seen = Symmetry.KeyTbl.create 256 in
   let orbit_idx = Symmetry.KeyTbl.create 256 in
   let sigma_acc = ref [] in
   let orbit_hits = ref 0 and ample_prunes = ref 0 in
-  (* the group elements, identity first; each frontier node carries the
-     renamed projection vector of every element's action on it, so a
-     child's identity vector (the class key) and its orbit key (the
-     minimum over the group) are maintained by consing one renamed
-     event — no trace is ever re-traversed or permuted wholesale *)
   let perms =
     match group with
     | Some g -> Array.of_list (Symmetry.elements g)
@@ -290,14 +230,24 @@ let enumerate ?(mode = `Canonical) ?(domains = 1) ?(budget = no_budget)
     c.(j) <- pe :: c.(j);
     c
   in
-  let root_en = if por then Some (Reduction.Enabled.init spec) else None in
-  let root_cands =
-    match group with
-    | None -> None
-    | Some _ -> Some (Array.make (Array.length perms) (Array.make n []))
+  (* [None] when the child's [D]-class or its orbit is already stored;
+     otherwise the child's renamed vectors and the index of the group
+     element whose vector is the least — the orbit key *)
+  let orbit_fate node e =
+    let v = extend_cand 0 node.orbit.(0) e in
+    if Symmetry.KeyTbl.mem class_seen v then None
+    else begin
+      Symmetry.KeyTbl.replace class_seen v ();
+      let vs =
+        Array.mapi (fun k pc -> if k = 0 then v else extend_cand k pc e) node.orbit
+      in
+      let best = ref 0 in
+      for k = 1 to Array.length vs - 1 do
+        if Symmetry.compare_key vs.(k) vs.(!best) < 0 then best := k
+      done;
+      if Symmetry.KeyTbl.mem orbit_idx vs.(!best) then None else Some (vs, !best)
+    end
   in
-  let root = (Trace.empty, Array.make n 0, root_en, root_cands) in
-  push root;
   (match group with
   | Some _ ->
       let empty_key = Array.make n [] in
@@ -305,130 +255,82 @@ let enumerate ?(mode = `Canonical) ?(domains = 1) ?(budget = no_budget)
       Symmetry.KeyTbl.replace orbit_idx empty_key 0;
       sigma_acc := [ perms.(0) ]
   | None -> ());
+  (* per level: the merge phase filters each parent's enabled events and
+     stores the admitted children in frontier order, then per-parent
+     order; the frontier phase builds the expansion state of the
+     children that are not at the depth bound *)
   let rec level frontier d =
-    if d >= depth || Array.length frontier = 0 then ()
-    else begin
+    if d < depth && Array.length frontier > 0 then begin
       check_time ();
       let m = Array.length frontier in
       if !Hpl_obs.enabled then
         Hpl_obs.set_gauge "enumerate.frontier_size" (float_of_int m);
-      (* per-depth frontier span: the effect-free parallel half *)
-      let busy0 =
-        if !Hpl_obs.enabled then Hpl_obs.span_total_us "enumerate.worker"
-        else 0.0
-      in
-      let wall0 =
-        if !Hpl_obs.enabled then Hpl_obs.span_total_us "enumerate.frontier"
-        else 0.0
-      in
-      let childlists =
-        Hpl_obs.span "enumerate.frontier"
-          ~args:(fun () ->
-            [ ("depth", string_of_int d); ("frontier", string_of_int m) ])
-          (fun () -> expand frontier)
-      in
-      if !Hpl_obs.enabled then begin
-        (* utilization of the worker pool over this level's wall time *)
-        let k = if domains > 1 && m >= 2 * domains then domains else 1 in
-        let busy = Hpl_obs.span_total_us "enumerate.worker" -. busy0 in
-        let wall = Hpl_obs.span_total_us "enumerate.frontier" -. wall0 in
-        if wall > 0.0 then
-          Hpl_obs.set_gauge "enumerate.domain_util"
-            (busy /. (float_of_int k *. wall))
-      end;
-      (* deterministic merge: frontier order, then per-parent order.
-         Budget checks live here, in the sequential half, so the set of
-         kept states is identical for any [domains] (time-based
-         truncation is inherently wall-clock dependent, but is only
-         detected between whole parents, never mid-parent). *)
-      (* symmetry: decide each child's fate first — skip if its
-         [D]-class (identity projection vector) was already seen,
-         otherwise extend the parent's remaining renamed vectors and
-         take their minimum as the orbit key (timed separately) *)
-      let annotated =
-        match group with
-        | None -> Array.map (fun (kids, pruned) -> (List.map (fun c -> (c, None)) kids, pruned)) childlists
-        | Some _ ->
-            Hpl_obs.span "reduce.canon"
-              ~args:(fun () -> [ ("depth", string_of_int d) ])
-              (fun () ->
-                Array.mapi
-                  (fun i (kids, pruned) ->
-                    let _, _, _, pcands = frontier.(i) in
-                    let pcands =
-                      match pcands with Some c -> c | None -> assert false
-                    in
-                    ( List.map
-                        (fun ((e, _, _) as c) ->
-                          let v = extend_cand 0 pcands.(0) e in
-                          if Symmetry.KeyTbl.mem class_seen v then (c, Some `Dup)
-                          else begin
-                            Symmetry.KeyTbl.replace class_seen v ();
-                            let cands =
-                              Array.mapi
-                                (fun k pc ->
-                                  if k = 0 then v else extend_cand k pc e)
-                                pcands
-                            in
-                            let best = ref 0 in
-                            for k = 1 to Array.length cands - 1 do
-                              if
-                                Symmetry.compare_key cands.(k) cands.(!best) < 0
-                              then best := k
-                            done;
-                            (c, Some (`Key (cands.(!best), perms.(!best), cands)))
-                          end)
-                        kids,
-                      pruned ))
-                  childlists)
-      in
+      let leaves = d + 1 = depth in
       let next = ref [] in
+      let store node e orbit =
+        let pi = Pid.to_int e.Event.pid in
+        let ids = Array.copy node.ids in
+        ids.(pi) <- intern pi node.ids.(pi) e;
+        let z = Trace.snoc node.z e in
+        push z ids;
+        if not leaves then next := (node, e, z, ids, orbit) :: !next
+      in
       Hpl_obs.span "enumerate.merge"
-        ~args:(fun () -> [ ("depth", string_of_int d) ])
+        ~args:(fun () ->
+          [ ("depth", string_of_int d); ("frontier", string_of_int m) ])
         (fun () ->
-          Array.iteri
-            (fun i (kids, pruned) ->
+          Array.iter
+            (fun node ->
               check_time ();
-              ample_prunes := !ample_prunes + pruned;
-              let _, pids, _, _ = frontier.(i) in
+              let cands, kept = kept node in
+              if !Hpl_obs.enabled then
+                ample_prunes :=
+                  !ample_prunes + List.length cands - List.length kept;
               List.iter
-                (fun ((e, z', en), fate) ->
-                  let admit =
-                    match fate with
-                    | None -> true
-                    | Some `Dup ->
-                        incr orbit_hits;
-                        false
-                    | Some (`Key (key, _, _)) ->
-                        if Symmetry.KeyTbl.mem orbit_idx key then begin
-                          incr orbit_hits;
-                          false
-                        end
-                        else true
-                  in
-                  if admit then begin
-                    let pi = Pid.to_int e.Event.pid in
-                    let ids = Array.copy pids in
-                    ids.(pi) <- intern pi pids.(pi) e;
-                    let node =
-                      match fate with
-                      | Some (`Key (_, _, cands)) -> (z', ids, en, Some cands)
-                      | _ -> (z', ids, en, None)
-                    in
-                    (* push may raise on budget: register the orbit
-                       entry only once the node is actually stored *)
-                    push node;
-                    (match fate with
-                    | Some (`Key (key, sigma, _)) ->
-                        Symmetry.KeyTbl.replace orbit_idx key (!count - 1);
-                        sigma_acc := sigma :: !sigma_acc
-                    | _ -> ());
-                    next := node :: !next
-                  end)
-                kids)
-            annotated);
-      level (Array.of_list (List.rev !next)) (d + 1)
+                (fun e ->
+                  match group with
+                  | None -> store node e [||]
+                  | Some _ -> (
+                      match orbit_fate node e with
+                      | None -> incr orbit_hits
+                      | Some (vs, best) ->
+                          (* store may raise on budget: register the
+                             orbit entry only once the node is stored *)
+                          store node e vs;
+                          Symmetry.KeyTbl.replace orbit_idx vs.(best)
+                            (!count - 1);
+                          sigma_acc := perms.(best) :: !sigma_acc))
+                kept)
+            frontier);
+      if not leaves then begin
+        let frontier =
+          Hpl_obs.span "enumerate.frontier"
+            ~args:(fun () -> [ ("depth", string_of_int (d + 1)) ])
+            (fun () ->
+              Array.of_list
+                (List.rev_map
+                   (fun (p, e, z, ids, orbit) ->
+                     {
+                       z;
+                       ids;
+                       en = Reduction.Enabled.step spec p.en e;
+                       canon = Option.map (fun c -> Reduction.Canon.step c e) p.canon;
+                       orbit;
+                     })
+                   !next))
+        in
+        level frontier (d + 1)
+      end
     end
+  in
+  let root =
+    {
+      z = Trace.empty;
+      ids = Array.make n 0;
+      en = Reduction.Enabled.init spec;
+      canon = (if canonical then Some (Reduction.Canon.empty ~n) else None);
+      orbit = Array.make (Array.length perms) (Array.make n []);
+    }
   in
   let status =
     match level [| root |] 0 with
@@ -455,7 +357,7 @@ let enumerate ?(mode = `Canonical) ?(domains = 1) ?(budget = no_budget)
     let class_ids_by_pid = Array.init n (fun _ -> Array.make !count 0) in
     (* [!acc] holds nodes in reverse discovery order *)
     List.iteri
-      (fun k (z, ids, _, _) ->
+      (fun k (z, ids) ->
         let i = !count - 1 - k in
         comps.(i) <- z;
         for pi = 0 to n - 1 do

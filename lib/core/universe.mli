@@ -44,7 +44,6 @@ type t
 
 val enumerate :
   ?mode:mode ->
-  ?domains:int ->
   ?budget:budget ->
   ?reduce:Reduction.t ->
   Spec.t ->
@@ -53,21 +52,22 @@ val enumerate :
 (** [enumerate spec ~depth] explores breadth-first from the empty
     computation. Default mode is [`Canonical].
 
+    Every mode and reduction expands through one path: each frontier
+    computation carries its enabled sets ({!Reduction.Enabled}) and, in
+    [`Canonical] mode without symmetry, an incremental canonicity
+    context ({!Reduction.Canon}) from parent to child, so a step and a
+    canonicity test cost O(n) in the number of processes rather than
+    O(length) in the trace. Only the frontier holds that state; stored
+    computations keep their trace and class ids.
+
     [reduce] (default {!Reduction.none}) applies the reduction layer
     (DESIGN.md §10); requires [`Canonical] mode. With a symmetry group
     the universe stores one representative per {e orbit} of
     [\[D\]]-classes: {!find} resolves any computation to its orbit's
     representative, knowledge/CK/temporal operators quantify over the
     orbit expansion automatically, and plain {!Prop.extent} ranges over
-    representatives only. The partial-order half is bit-identical to the
-    unreduced enumeration, only faster.
-
-    [domains] (default 1) expands each BFS level in parallel across
-    that many stdlib domains. The result is bit-identical to the
-    sequential run for any [domains]: workers only compute candidate
-    extensions, and all state (computation indices, class-id interning)
-    is merged sequentially in frontier order. Raises [Invalid_argument]
-    if [domains < 1].
+    representatives only. Plain {!Reduction.por} gives the same universe
+    as [none]; with an attached independence relation it prunes.
 
     [budget] (default {!no_budget}) bounds the enumeration. When a
     ceiling is hit the BFS stops cleanly and the universe carries
@@ -75,9 +75,11 @@ val enumerate :
     still prefix-closed (children are only kept after their parent), so
     every query below remains sound — it just quantifies over fewer
     computations than the depth bound implies. [max_states] truncation
-    is deterministic (checks happen in the sequential merge, in frontier
-    order, for any [domains]); [max_seconds] is wall-clock dependent by
-    nature and detected between parent expansions. *)
+    is deterministic: the universe is the first [max_states]
+    computations in discovery order. [max_seconds] bounds the CPU time
+    ([Sys.time]) of the process, not wall-clock time; it is checked
+    between parent expansions, so where it cuts depends on the speed of
+    the machine. *)
 
 val spec : t -> Spec.t
 val mode : t -> mode

@@ -1,9 +1,8 @@
 (* Spans, counters, gauges, and three exporters. The design constraint
    is the disabled path: every probe is [if not !enabled then f ()] —
    one load and one branch — so instrumentation can live inside the
-   enumeration and knowledge hot paths permanently. All recording
-   happens behind a mutex because the parallel enumeration workers emit
-   spans from their own domains. *)
+   enumeration and knowledge hot paths permanently. Recording is
+   single-threaded: every span lands on one timeline (Chrome tid 0). *)
 
 let enabled = ref false
 
@@ -12,12 +11,10 @@ type ev =
       name : string;
       ts : float; (* µs since epoch reset *)
       dur : float; (* µs *)
-      tid : int;
       args : (string * string) list;
     }
-  | Inst of { name : string; ts : float; tid : int; args : (string * string) list }
+  | Inst of { name : string; ts : float; args : (string * string) list }
 
-let mutex = Mutex.create ()
 let events : ev list ref = ref [] (* reverse chronological-ish; sorted on export *)
 let counters : (string, int ref) Hashtbl.t = Hashtbl.create 32
 let gauges : (string, (float * float) ref) Hashtbl.t = Hashtbl.create 16
@@ -26,24 +23,18 @@ let gauges : (string, (float * float) ref) Hashtbl.t = Hashtbl.create 16
 let epoch = ref 0.0
 let now_us () = (Unix.gettimeofday () -. !epoch) *. 1e6
 
-let locked f =
-  Mutex.lock mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
-
 let reset () =
-  locked (fun () ->
-      events := [];
-      Hashtbl.reset counters;
-      Hashtbl.reset gauges;
-      epoch := Unix.gettimeofday ())
+  events := [];
+  Hashtbl.reset counters;
+  Hashtbl.reset gauges;
+  epoch := Unix.gettimeofday ()
 
 let enable () =
   reset ();
   enabled := true
 
 let disable () = enabled := false
-let tid () = (Domain.self () :> int)
-let push e = locked (fun () -> events := e :: !events)
+let push e = events := e :: !events
 
 let span ?args name f =
   if not !enabled then f ()
@@ -52,7 +43,7 @@ let span ?args name f =
     let record () =
       let dur = now_us () -. t0 in
       let args = match args with None -> [] | Some g -> g () in
-      push (Span { name; ts = t0; dur; tid = tid (); args })
+      push (Span { name; ts = t0; dur; args })
     in
     match f () with
     | v ->
@@ -64,49 +55,43 @@ let span ?args name f =
   end
 
 let instant ?(args = []) name =
-  if !enabled then push (Inst { name; ts = now_us (); tid = tid (); args })
+  if !enabled then push (Inst { name; ts = now_us (); args })
 
 let count name n =
   if !enabled then
-    locked (fun () ->
-        match Hashtbl.find_opt counters name with
-        | Some r -> r := !r + n
-        | None -> Hashtbl.add counters name (ref n))
+    match Hashtbl.find_opt counters name with
+    | Some r -> r := !r + n
+    | None -> Hashtbl.add counters name (ref n)
 
 let set_gauge name v =
   if !enabled then
-    locked (fun () ->
-        match Hashtbl.find_opt gauges name with
-        | Some r ->
-            let _, mx = !r in
-            r := (v, Float.max mx v)
-        | None -> Hashtbl.add gauges name (ref (v, v)))
+    match Hashtbl.find_opt gauges name with
+    | Some r ->
+        let _, mx = !r in
+        r := (v, Float.max mx v)
+    | None -> Hashtbl.add gauges name (ref (v, v))
 
 (* -- readback --------------------------------------------------------- *)
 
 let counter name =
-  locked (fun () ->
-      match Hashtbl.find_opt counters name with Some r -> !r | None -> 0)
+  match Hashtbl.find_opt counters name with Some r -> !r | None -> 0
 
-let gauge_max name =
-  locked (fun () ->
-      Option.map (fun r -> snd !r) (Hashtbl.find_opt gauges name))
+let gauge_max name = Option.map (fun r -> snd !r) (Hashtbl.find_opt gauges name)
 
 (* per-name span aggregate: (count, total µs, max µs) *)
 let span_aggregate () =
-  locked (fun () ->
-      let tbl : (string, int * float * float) Hashtbl.t = Hashtbl.create 16 in
-      List.iter
-        (function
-          | Span { name; dur; _ } ->
-              let c, tot, mx =
-                Option.value (Hashtbl.find_opt tbl name) ~default:(0, 0.0, 0.0)
-              in
-              Hashtbl.replace tbl name (c + 1, tot +. dur, Float.max mx dur)
-          | Inst _ -> ())
-        !events;
-      Hashtbl.fold (fun name agg acc -> (name, agg) :: acc) tbl []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b))
+  let tbl : (string, int * float * float) Hashtbl.t = Hashtbl.create 16 in
+  List.iter
+    (function
+      | Span { name; dur; _ } ->
+          let c, tot, mx =
+            Option.value (Hashtbl.find_opt tbl name) ~default:(0, 0.0, 0.0)
+          in
+          Hashtbl.replace tbl name (c + 1, tot +. dur, Float.max mx dur)
+      | Inst _ -> ())
+    !events;
+  Hashtbl.fold (fun name agg acc -> (name, agg) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let span_count name =
   match List.assoc_opt name (span_aggregate ()) with
@@ -121,14 +106,12 @@ let span_total_us name =
 let span_names () = List.map fst (span_aggregate ())
 
 let sorted_counters () =
-  locked (fun () ->
-      Hashtbl.fold (fun name r acc -> (name, !r) :: acc) counters []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b))
+  Hashtbl.fold (fun name r acc -> (name, !r) :: acc) counters []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let sorted_gauges () =
-  locked (fun () ->
-      Hashtbl.fold (fun name r acc -> (name, !r) :: acc) gauges []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b))
+  Hashtbl.fold (fun name r acc -> (name, !r) :: acc) gauges []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* -- exporters -------------------------------------------------------- *)
 
@@ -226,7 +209,7 @@ let chrome_args b args =
   end
 
 let chrome_trace () =
-  let evs = locked (fun () -> List.rev !events) in
+  let evs = List.rev !events in
   let b = Buffer.create 1024 in
   Buffer.add_string b "[\n";
   let first = ref true in
@@ -237,18 +220,18 @@ let chrome_trace () =
     (fun ev ->
       sep ();
       match ev with
-      | Span { name; ts; dur; tid; args } ->
+      | Span { name; ts; dur; args } ->
           Buffer.add_string b
             (Printf.sprintf
-               "{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%s,\"dur\":%s,\"pid\":1,\"tid\":%d"
-               (escape name) (num ts) (num dur) tid);
+               "{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%s,\"dur\":%s,\"pid\":1,\"tid\":0"
+               (escape name) (num ts) (num dur));
           chrome_args b args;
           Buffer.add_char b '}'
-      | Inst { name; ts; tid; args } ->
+      | Inst { name; ts; args } ->
           Buffer.add_string b
             (Printf.sprintf
-               "{\"name\":\"%s\",\"ph\":\"i\",\"ts\":%s,\"s\":\"t\",\"pid\":1,\"tid\":%d"
-               (escape name) (num ts) tid);
+               "{\"name\":\"%s\",\"ph\":\"i\",\"ts\":%s,\"s\":\"t\",\"pid\":1,\"tid\":0"
+               (escape name) (num ts));
           chrome_args b args;
           Buffer.add_char b '}')
     evs;

@@ -8,10 +8,9 @@
     their uninstrumented selves (the bench [--quick --assert-overhead]
     job holds this to <= 2% on the [enumerate/depth=7] row).
 
-    Probes may fire from multiple domains (the parallel enumeration
-    workers record their own spans); the event buffer and the counter
-    tables are mutex-guarded, and a span's thread id is its domain id,
-    so per-domain timelines come out separated in the Chrome trace.
+    Probes fire from one thread: the event buffer and the counter
+    tables are unsynchronized, and every span lands on one timeline
+    ([tid] 0) in the Chrome trace.
 
     Three exporters:
     - {!stats_table} — a human-readable aggregate (per-span-name count,

@@ -258,8 +258,8 @@ let resolve_reduce st ~mode ?(indep = false) reduce_str =
   | r -> Ok r
   | exception Bad m -> Error m
 
-let enumerate ?(mode = `Canonical) ?(domains = 1) st ~reduce =
-  Universe.enumerate ~mode ~domains ~budget:st.budget ~reduce st.spec
+let enumerate ?(mode = `Canonical) st ~reduce =
+  Universe.enumerate ~mode ~budget:st.budget ~reduce st.spec
     ~depth:st.depth
 
 (* -- rendering ---------------------------------------------------------

@@ -84,7 +84,7 @@ val resolve_reduce :
     mirroring the CLI. *)
 
 val enumerate :
-  ?mode:Universe.mode -> ?domains:int -> setup -> reduce:Reduction.t ->
+  ?mode:Universe.mode -> setup -> reduce:Reduction.t ->
   Universe.t
 (** [Universe.enumerate] with the setup's spec, depth and budget. *)
 

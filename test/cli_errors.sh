@@ -219,6 +219,15 @@ expect 2 "mc bad recover count" -- mc -s ping-pong --formula 'true' --faults 'cr
 expect 2 "mc recover without crash" -- mc -s ping-pong --formula 'true' --faults 'recover:p0@1'
 expect 3 "mc time budget" -- mc -s two-generals --formula 'CK attack' --depth 15 --runs 10000000 --max-seconds 0.1
 
+# errors cmdliner detects itself keep the same contract: one line, exit 2
+# (the removed --domains flag is an unknown option like any other)
+expect 2 "removed --domains option" -- enumerate -s ping-pong --domains 2
+expect 2 "unknown option" -- check -s ping-pong --no-such-flag 'true'
+expect 2 "bad option value" -- enumerate -s ping-pong -m bogus
+expect 2 "unknown command" -- no-such-command
+expect 0 "--help" -- enumerate --help
+expect 0 "--version" -- --version
+
 # -- observability golden shapes ---------------------------------------
 
 # --stats: the aggregate table with the three section headers and a row

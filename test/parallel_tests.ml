@@ -1,105 +1,7 @@
-(* Determinism of parallel enumeration/extent, and the cached O(1)
-   trace hash.
-
-   [Universe.enumerate ~domains:k] must be bit-identical to the
-   sequential run for every [k]: same size, same comp-array order, same
-   class ids. [Trace.hash] is cached incrementally by snoc/of_list and
-   must agree with equality however a trace was built. *)
+(* The cached O(1) trace hash: [Trace.hash] is maintained
+   incrementally by snoc/of_list and must agree with equality however a
+   trace was built. *)
 open Hpl_core
-
-let check = Alcotest.check
-let tbool = Alcotest.bool
-let tint = Alcotest.int
-
-(* --- parallel enumeration determinism ------------------------------ *)
-
-let same_universe name u1 u2 =
-  check tint (name ^ ": size") (Universe.size u1) (Universe.size u2);
-  Universe.iter
-    (fun i z ->
-      check tbool
-        (Printf.sprintf "%s: comp %d identical" name i)
-        true
-        (Trace.equal z (Universe.comp u2 i)))
-    u1;
-  let spec = Universe.spec u1 in
-  List.iter
-    (fun p ->
-      check tbool (name ^ ": per-pid class ids") true
-        (Universe.class_ids u1 p = Universe.class_ids u2 p))
-    (Spec.pids spec);
-  let all = Spec.all spec in
-  check tbool (name ^ ": pset class ids") true
-    (Universe.pset_class_ids u1 all = Universe.pset_class_ids u2 all)
-
-let cases =
-  [
-    ("one-msg", Fixtures.one_msg, 5);
-    ("ping-pong", Fixtures.ping_pong, 4);
-    ("ticks-2x2", Fixtures.ticks ~n:2 ~k:2, 10);
-    ("chatter-2x2", Fixtures.chatter ~n:2 ~k:2, 4);
-    ("chatter-3x2", Fixtures.chatter ~n:3 ~k:2, 5);
-    ("random-17", Fixtures.random_spec ~n:3 ~k:2 ~seed:17, 5);
-  ]
-
-let mode_name = function `Full -> "full" | `Canonical -> "canonical"
-
-let test_parallel_determinism () =
-  List.iter
-    (fun (name, spec, depth) ->
-      List.iter
-        (fun mode ->
-          let u1 = Universe.enumerate ~mode ~domains:1 spec ~depth in
-          List.iter
-            (fun domains ->
-              let ud = Universe.enumerate ~mode ~domains spec ~depth in
-              same_universe
-                (Printf.sprintf "%s/%s/domains=%d" name (mode_name mode)
-                   domains)
-                u1 ud)
-            [ 2; 3; 4 ])
-        [ `Full; `Canonical ])
-    cases
-
-let test_default_is_sequential () =
-  (* the ?domains default must not change the existing API's result *)
-  let spec = Fixtures.chatter ~n:2 ~k:2 in
-  let u = Universe.enumerate spec ~depth:4 in
-  let u1 = Universe.enumerate ~domains:1 spec ~depth:4 in
-  same_universe "default=1" u u1
-
-let test_extent_domains () =
-  let spec = Fixtures.chatter ~n:3 ~k:2 in
-  let u = Universe.enumerate spec ~depth:5 in
-  List.iter
-    (fun b ->
-      let e1 = Prop.extent ~domains:1 u b in
-      List.iter
-        (fun domains ->
-          check tbool
-            (Printf.sprintf "extent %s domains=%d" (Prop.name b) domains)
-            true
-            (Bitset.equal e1 (Prop.extent ~domains u b)))
-        [ 2; 3; 4 ])
-    [
-      Prop.make "sent0" (fun z -> Trace.send_count z Fixtures.p0 > 0);
-      Prop.make "len-even" (fun z -> Trace.length z mod 2 = 0);
-      Prop.tt;
-      Prop.ff;
-    ]
-
-let test_bad_domains () =
-  check tbool "enumerate rejects 0" true
-    (try
-       ignore (Universe.enumerate ~domains:0 Fixtures.one_msg ~depth:2);
-       false
-     with Invalid_argument _ -> true);
-  let u = Universe.enumerate Fixtures.one_msg ~depth:2 in
-  check tbool "extent rejects 0" true
-    (try
-       ignore (Prop.extent ~domains:0 u Prop.tt);
-       false
-     with Invalid_argument _ -> true)
 
 (* --- cached trace hash --------------------------------------------- *)
 
@@ -173,10 +75,4 @@ let qcheck_props =
   ]
 
 let suite =
-  [
-    ("parallel enumeration is deterministic", `Quick, test_parallel_determinism);
-    ("default domains matches old API", `Quick, test_default_is_sequential);
-    ("parallel extent matches sequential", `Quick, test_extent_domains);
-    ("domains < 1 rejected", `Quick, test_bad_domains);
-  ]
-  @ List.map (fun p -> QCheck_alcotest.to_alcotest ~verbose:false p) qcheck_props
+  List.map (fun p -> QCheck_alcotest.to_alcotest ~verbose:false p) qcheck_props
