@@ -622,6 +622,53 @@ let serve_rows () =
       None );
   ]
 
+(* -- snapshot rows (DESIGN.md §14) ----------------------------------------
+
+   A warm start pays only while loading a universe's snapshot costs much
+   less than enumerating it again, so the same universe (mesh:5 at depth
+   6, 58675 states) is timed all three ways, min-wall, next to the size
+   of its snapshot file. *)
+let snapshot_rows () =
+  fresh_heap ();
+  Hpl_protocols.Builtins.init ();
+  let module Query = Hpl_serve.Query in
+  let module Snapshot = Hpl_serve.Snapshot in
+  let get = function Ok v -> v | Error e -> failwith ("bench: " ^ e) in
+  let st = get (Query.resolve ~proto:"mesh:5" ~depth:"6" ()) in
+  let reduce = get (Query.resolve_reduce st ~mode:`Canonical "none") in
+  let enum () = Query.enumerate ~mode:`Canonical st ~reduce in
+  let u = enum () in
+  let key = Hpl_serve.Serve.cache_key st ~mode:`Canonical ~reduce in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "hpl-bench-snapshot-%d" (Unix.getpid ()))
+  in
+  Unix.mkdir dir 0o755;
+  let path = Snapshot.path_of ~dir ~key in
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists path then Sys.remove path;
+      Unix.rmdir dir)
+    (fun () ->
+      let save () = get (Snapshot.save ~dir ~key u) in
+      let load () =
+        match Snapshot.load ~dir ~key st.Query.spec with
+        | Ok u -> Universe.size u
+        | Error _ -> failwith "bench: mesh:5 snapshot did not load"
+      in
+      let enumerate = min_time_ns ~runs:10 (fun () -> Universe.size (enum ())) in
+      let save_ns = min_time_ns ~runs:10 save in
+      let load_ns = min_time_ns ~runs:10 load in
+      [
+        ("hpl/enumerate/mesh:5-d6/minwall", Some enumerate, "ns/run", None);
+        ("hpl/snapshot/save/mesh:5-d6/minwall", Some save_ns, "ns/run", None);
+        ("hpl/snapshot/load/mesh:5-d6/minwall", Some load_ns, "ns/run", None);
+        ( "hpl/snapshot/bytes/mesh:5-d6",
+          Some (float_of_int (Unix.stat path).Unix.st_size),
+          "bytes",
+          None );
+      ])
+
 (* Machine-readable results so successive PRs can track the perf
    trajectory. One JSON object per benchmark: {name, value, unit, r2};
    [unit] says what the number measures ("ns/run", "states",
@@ -713,7 +760,8 @@ let run_benchmarks () =
        (fun (name, ols) ->
          (name, estimate ols, "ns/run", Analyze.OLS.r_square ols))
        rows
-    @ early_rows @ phase_rows () @ mc_rows () @ serve_rows ())
+    @ early_rows @ phase_rows () @ mc_rows () @ serve_rows ()
+    @ snapshot_rows ())
 
 (* -- disabled-probe overhead guard --------------------------------------
 
@@ -887,12 +935,12 @@ let run_mc () =
   merge_bench_json "BENCH.json" rows;
   print_endline "BENCH.json updated"
 
-(* --serve: measure the daemon's warm-cache throughput row alone and
-   merge it into BENCH.json in place — the CI serve job's bench step,
-   same line-based merge as --mc. *)
+(* --serve: measure the daemon's warm-cache throughput and the snapshot
+   rows alone and merge them into BENCH.json in place — the CI serve
+   job's bench step, same line-based merge as --mc. *)
 let run_serve () =
-  print_endline "=== serve warm-cache throughput ===";
-  let rows = serve_rows () in
+  print_endline "=== serve warm-cache throughput and snapshots ===";
+  let rows = serve_rows () @ snapshot_rows () in
   List.iter
     (fun (name, value, unit_, _) ->
       match value with

@@ -101,6 +101,22 @@ let in_flight z =
     z.rev;
   List.filter (fun m -> not (Hashtbl.mem recvd (Msg.key m))) (sent z)
 
+(* Same answer as [List.exists (Msg.equal m) (in_flight z)], in one
+   newest-first scan that allocates nothing: a receive of [m]'s key
+   after (or without) its send settles it. *)
+let is_in_flight z m =
+  let rec go sent = function
+    | [] -> sent
+    | e :: rest -> (
+        match e.Event.kind with
+        | Event.Receive r
+          when Pid.equal r.Msg.src m.Msg.src && Int.equal r.Msg.seq m.Msg.seq ->
+            false
+        | Event.Send s when (not sent) && Msg.equal s m -> go true rest
+        | Event.Send _ | Event.Receive _ | Event.Internal _ -> go sent rest)
+  in
+  go false z.rev
+
 let well_formed_error z =
   let events = to_list z in
   let exception Bad of string in

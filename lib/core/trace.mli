@@ -72,6 +72,10 @@ val received : t -> Msg.t list
 val in_flight : t -> Msg.t list
 (** Messages sent but not yet received in [z], in send order. *)
 
+val is_in_flight : t -> Msg.t -> bool
+(** [is_in_flight z m] is [List.exists (Msg.equal m) (in_flight z)],
+    computed in one scan without allocating. *)
+
 val well_formed : t -> bool
 (** Intrinsic well-formedness: per-process [lseq]s run 0,1,2,…; message
     keys [(src,seq)] are sent at most once and consistent with the

@@ -47,7 +47,12 @@ type t = {
   status : status;
   reduce : Reduction.t;
   comps : Trace.t array;
-  idx : int TraceTbl.t;
+  parents : int array;
+      (* index of each computation's one-event-shorter prefix; -1 for the
+         root. Discovery order makes it non-decreasing. *)
+  idx : int TraceTbl.t Lazy.t;
+      (* forced by [index]/[find] only: counting and knowledge queries
+         never look a trace up *)
   class_ids_by_pid : int array array; (* pid index -> comp index -> class id *)
   orbit_idx : int Symmetry.KeyTbl.t option; (* sym: orbit key -> index *)
   rep_sigma : Symmetry.perm array option;
@@ -116,10 +121,11 @@ let canon_trace z =
 
    A child's class-id vector differs from its parent's in exactly one
    slot (the extending event's process), so maintaining it is O(n).
-   Stored computations keep only the trace and the class ids: expansion
-   state lives on the frontier alone, and children at the depth bound
-   never get any. *)
+   Stored computations keep only the trace, the class ids and the parent
+   index: expansion state lives on the frontier alone, and children at
+   the depth bound never get any. *)
 type node = {
+  at : int; (* the node's own computation index *)
   z : Trace.t;
   ids : int array;
   en : Reduction.Enabled.ctx;
@@ -128,6 +134,11 @@ type node = {
 }
 
 exception Out_of_budget of trunc_reason
+
+let index_of comps =
+  let idx = TraceTbl.create (2 * Array.length comps) in
+  Array.iteri (fun i z -> TraceTbl.replace idx z i) comps;
+  idx
 
 let enumerate ?(mode = `Canonical) ?(budget = no_budget)
     ?(reduce = Reduction.none) spec ~depth =
@@ -200,16 +211,16 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
      budget checks happen here, so max_states truncation keeps a
      deterministic prefix of the discovery order *)
   let acc = ref [] and count = ref 0 in
-  let push z ids =
+  let push z ids parent =
     (match budget.max_states with
     | Some k when !count >= k ->
         Hpl_obs.instant "enumerate.budget" ~args:[ ("reason", "max_states") ];
         raise (Out_of_budget (Max_states k))
     | _ -> ());
-    acc := (z, ids) :: !acc;
+    acc := (z, ids, parent) :: !acc;
     incr count
   in
-  push Trace.empty (Array.make n 0);
+  push Trace.empty (Array.make n 0) (-1);
   (* symmetry bookkeeping: [class_seen] memoizes the orbit decision per
      [D]-class (identity projection vector), [orbit_idx] maps each orbit
      key to its stored representative, [sigma_acc] records per stored
@@ -272,8 +283,9 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
         let ids = Array.copy node.ids in
         ids.(pi) <- intern pi node.ids.(pi) e;
         let z = Trace.snoc node.z e in
-        push z ids;
-        if not leaves then next := (node, e, z, ids, orbit) :: !next
+        let at = !count in
+        push z ids node.at;
+        if not leaves then next := (node, e, at, z, ids, orbit) :: !next
       in
       Hpl_obs.span "enumerate.merge"
         ~args:(fun () ->
@@ -309,8 +321,9 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
             (fun () ->
               Array.of_list
                 (List.rev_map
-                   (fun (p, e, z, ids, orbit) ->
+                   (fun (p, e, at, z, ids, orbit) ->
                      {
+                       at;
                        z;
                        ids;
                        en = Reduction.Enabled.step spec p.en e;
@@ -325,6 +338,7 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
   in
   let root =
     {
+      at = 0;
       z = Trace.empty;
       ids = Array.make n 0;
       en = Reduction.Enabled.init spec;
@@ -347,26 +361,26 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
       Hpl_obs.count "reduce.ample_prunes" !ample_prunes
     end
   end;
-  let comps, class_ids_by_pid, idx =
-    (* the interning half: materialize the computations and build the
-       O(1)-lookup trace index *)
+  let comps, parents, class_ids_by_pid =
+    (* the interning half: materialize the computations; the trace
+       index is left to the first lookup *)
     Hpl_obs.span "enumerate.intern"
       ~args:(fun () -> [ ("states", string_of_int !count) ])
     @@ fun () ->
     let comps = Array.make !count Trace.empty in
+    let parents = Array.make !count (-1) in
     let class_ids_by_pid = Array.init n (fun _ -> Array.make !count 0) in
     (* [!acc] holds nodes in reverse discovery order *)
     List.iteri
-      (fun k (z, ids) ->
+      (fun k (z, ids, parent) ->
         let i = !count - 1 - k in
         comps.(i) <- z;
+        parents.(i) <- parent;
         for pi = 0 to n - 1 do
           class_ids_by_pid.(pi).(i) <- ids.(pi)
         done)
       !acc;
-    let idx = TraceTbl.create (2 * !count) in
-    Array.iteri (fun i z -> TraceTbl.replace idx z i) comps;
-    (comps, class_ids_by_pid, idx)
+    (comps, parents, class_ids_by_pid)
   in
   let rep_sigma =
     match group with
@@ -383,7 +397,8 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
     status;
     reduce;
     comps;
-    idx;
+    parents;
+    idx = lazy (index_of comps);
     class_ids_by_pid;
     orbit_idx = (match group with None -> None | Some _ -> Some orbit_idx);
     rep_sigma;
@@ -408,7 +423,7 @@ let sample u ~choose =
     invalid_arg "Universe.sample: choose returned an out-of-range index";
   u.comps.(i)
 let index u z =
-  let r = TraceTbl.find_opt u.idx z in
+  let r = TraceTbl.find_opt (Lazy.force u.idx) z in
   if !Hpl_obs.enabled then begin
     Hpl_obs.count "universe.lookups" 1;
     if r <> None then Hpl_obs.count "universe.lookup_hits" 1
@@ -517,14 +532,28 @@ let prefixes_of u i =
 (* --- snapshot body ---------------------------------------------------
 
    A universe is a prefix-closed BFS in discovery order: [comps.(0)] is
-   the empty trace and every other computation extends an earlier one by
-   a single event. The body therefore stores, per computation, the index
-   of its parent prefix plus one interned event — the same incremental
-   representation the enumerator builds — rather than whole traces.
-   Payload strings and internal tags go through a first-occurrence
-   string table. Class ids are not stored at all: replaying the events
-   through the same hash-consed trie in the same discovery order
-   reproduces them bit-identically.
+   the empty trace and every other computation extends its parent
+   [parents.(i) < i] by a single event, with parents non-decreasing. The
+   body stores that tree rather than the traces:
+
+     u8 mode · varint depth · status · u8 reduce · varint n
+     · varint nstr · (varint length · bytes)^nstr
+     · varint nev · entry^nev
+     · varint count · (zigzag parent delta · varint event id)^(count-1)
+
+     status = 0 | 1 · varint max_states | 2 · u64 bits of max_seconds
+     entry  = u8 kind · varint pid · varint lseq
+              · [varint peer · varint seq]   (send: dst, receive: src)
+              · varint string id             (payload or internal tag)
+
+   Varints are unsigned LEB128 capped at 2^30 - 1; the parent delta is
+   zigzag-signed, so a decrease is representable and rejected. Strings
+   and events are each listed once, in first-occurrence order. A
+   universe has far fewer distinct events than computations, so a record
+   is typically two bytes, and the decoder builds each [Event.t] once and
+   shares it among every trace that ends in it. Class ids are not
+   stored: replaying the events through the same hash-consed trie in the
+   same discovery order reproduces them bit-identically.
 
    The encoding is body-only. Framing (magic, format version, cache key,
    checksum) belongs to the snapshot container in [Hpl_serve.Snapshot];
@@ -533,13 +562,14 @@ let prefixes_of u i =
 
 let add_u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
 
-let add_i32 b v =
+let rec add_varint b v =
   if v < 0 || v > 0x3fffffff then
     invalid_arg "Universe.serialize: integer out of range";
-  add_u8 b v;
-  add_u8 b (v lsr 8);
-  add_u8 b (v lsr 16);
-  add_u8 b (v lsr 24)
+  if v < 0x80 then add_u8 b v
+  else begin
+    add_u8 b (v land 0x7f lor 0x80);
+    add_varint b (v lsr 7)
+  end
 
 let add_i64 b (v : int64) =
   for k = 0 to 7 do
@@ -547,8 +577,25 @@ let add_i64 b (v : int64) =
   done
 
 let add_str b s =
-  add_i32 b (String.length s);
+  add_varint b (String.length s);
   Buffer.add_string b s
+
+let zigzag d = if d >= 0 then 2 * d else (-2 * d) - 1
+let unzigzag v = if v land 1 = 0 then v lsr 1 else -((v + 1) lsr 1)
+
+module EventTbl = Hashtbl.Make (struct
+  type t = Event.t
+
+  let equal = Event.equal
+  let hash = Event.hash
+end)
+
+module IntTbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
 
 let serialize u =
   if Option.is_some (Reduction.symmetry u.reduce) then
@@ -556,74 +603,89 @@ let serialize u =
       "symmetry-reduced universes have no snapshot form (orbit tables \
        are not serialized); cache them in memory only"
   else begin
-    let b = Buffer.create 4096 in
+    let count = Array.length u.comps in
+    (* one pass over the computations fills three side buffers, so that
+       the string and event tables can precede the records citing them *)
+    let strings = Hashtbl.create 64 and sb = Buffer.create 256 in
+    let str_id s =
+      match Hashtbl.find_opt strings s with
+      | Some k -> k
+      | None ->
+          let k = Hashtbl.length strings in
+          Hashtbl.add strings s k;
+          add_str sb s;
+          k
+    in
+    let events = EventTbl.create 128 and eb = Buffer.create 1024 in
+    let event_id e =
+      match EventTbl.find_opt events e with
+      | Some k -> k
+      | None ->
+          let k = EventTbl.length events in
+          EventTbl.add events e k;
+          let entry tag peer_seq str =
+            add_u8 eb tag;
+            add_varint eb (Pid.to_int e.Event.pid);
+            add_varint eb e.Event.lseq;
+            (match peer_seq with
+            | Some (peer, seq) ->
+                add_varint eb (Pid.to_int peer);
+                add_varint eb seq
+            | None -> ());
+            add_varint eb (str_id str)
+          in
+          (match e.Event.kind with
+          | Event.Internal tag -> entry 0 None tag
+          | Event.Send m -> entry 1 (Some (m.Msg.dst, m.Msg.seq)) m.Msg.payload
+          | Event.Receive m ->
+              entry 2 (Some (m.Msg.src, m.Msg.seq)) m.Msg.payload);
+          k
+    in
+    let rb = Buffer.create (2 * count) in
+    let prev = ref 0 in
+    for i = 1 to count - 1 do
+      let parent = u.parents.(i) in
+      add_varint rb (zigzag (parent - !prev));
+      prev := parent;
+      match Trace.last u.comps.(i) with
+      | Some e -> add_varint rb (event_id e)
+      | None -> invalid_arg "Universe.serialize: empty non-root computation"
+    done;
+    let b =
+      Buffer.create
+        (Buffer.length sb + Buffer.length eb + Buffer.length rb + 32)
+    in
     add_u8 b (match u.mode with `Full -> 0 | `Canonical -> 1);
-    add_i32 b u.depth;
+    add_varint b u.depth;
     (match u.status with
     | Complete -> add_u8 b 0
     | Truncated (Max_states k) ->
         add_u8 b 1;
-        add_i32 b k
+        add_varint b k
     | Truncated (Max_seconds s) ->
         add_u8 b 2;
         add_i64 b (Int64.bits_of_float s));
     add_u8 b (if Reduction.uses_por u.reduce then 1 else 0);
-    let n = Spec.n u.spec in
-    add_i32 b n;
-    let count = Array.length u.comps in
-    (* events into a side buffer so the string table can precede them *)
-    let strings = Hashtbl.create 64 in
-    let str_order = ref [] and nstr = ref 0 in
-    let str_id s =
-      match Hashtbl.find_opt strings s with
-      | Some i -> i
-      | None ->
-          let i = !nstr in
-          incr nstr;
-          Hashtbl.add strings s i;
-          str_order := s :: !str_order;
-          i
-    in
-    let eb = Buffer.create 4096 in
-    for i = 1 to count - 1 do
-      let events = Trace.to_list u.comps.(i) in
-      let rec split acc = function
-        | [] -> invalid_arg "Universe.serialize: empty non-root computation"
-        | [ e ] -> (List.rev acc, e)
-        | e :: rest -> split (e :: acc) rest
-      in
-      let init, e = split [] events in
-      let parent =
-        match TraceTbl.find_opt u.idx (Trace.of_list init) with
-        | Some j when j < i -> j
-        | _ -> invalid_arg "Universe.serialize: universe is not prefix-closed"
-      in
-      add_i32 eb parent;
-      add_i32 eb (Pid.to_int e.Event.pid);
-      add_i32 eb e.Event.lseq;
-      match e.Event.kind with
-      | Event.Internal tag ->
-          add_u8 eb 0;
-          add_i32 eb (str_id tag)
-      | Event.Send m ->
-          add_u8 eb 1;
-          add_i32 eb (Pid.to_int m.Msg.dst);
-          add_i32 eb m.Msg.seq;
-          add_i32 eb (str_id m.Msg.payload)
-      | Event.Receive m ->
-          add_u8 eb 2;
-          add_i32 eb (Pid.to_int m.Msg.src);
-          add_i32 eb m.Msg.seq;
-          add_i32 eb (str_id m.Msg.payload)
-    done;
-    add_i32 b !nstr;
-    List.iter (add_str b) (List.rev !str_order);
-    add_i32 b count;
+    add_varint b (Spec.n u.spec);
+    add_varint b (Hashtbl.length strings);
+    Buffer.add_buffer b sb;
+    add_varint b (EventTbl.length events);
     Buffer.add_buffer b eb;
+    add_varint b count;
+    Buffer.add_buffer b rb;
     Ok (Buffer.contents b)
   end
 
 exception Corrupt of string
+
+(* Array [a] grown to hold index [k]. *)
+let grow a k =
+  if k < Array.length a then a
+  else begin
+    let b = Array.make (2 * k) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
 
 let deserialize spec blob =
   let len = String.length blob in
@@ -631,17 +693,20 @@ let deserialize spec blob =
   let fail fmt = Printf.ksprintf (fun m -> raise (Corrupt m)) fmt in
   let u8 () =
     if !pos >= len then fail "truncated body";
-    let v = Char.code blob.[!pos] in
+    let v = Char.code (String.unsafe_get blob !pos) in
     incr pos;
     v
   in
-  let i32 () =
-    let a = u8 () in
-    let b = u8 () in
-    let c = u8 () in
-    let d = u8 () in
-    let v = a lor (b lsl 8) lor (c lsl 16) lor (d lsl 24) in
-    if v < 0 || v > 0x3fffffff then fail "integer out of range";
+  let varint () =
+    let rec go shift acc =
+      let c = u8 () in
+      let acc = acc lor ((c land 0x7f) lsl shift) in
+      if c < 0x80 then acc
+      else if shift >= 28 then fail "integer out of range"
+      else go (shift + 7) acc
+    in
+    let v = go 0 0 in
+    if v > 0x3fffffff then fail "integer out of range";
     v
   in
   let i64 () =
@@ -652,8 +717,8 @@ let deserialize spec blob =
     !v
   in
   let str () =
-    let k = i32 () in
-    if !pos + k > len then fail "truncated string";
+    let k = varint () in
+    if k > len - !pos then fail "truncated string";
     let s = String.sub blob !pos k in
     pos := !pos + k;
     s
@@ -662,11 +727,11 @@ let deserialize spec blob =
     let mode =
       match u8 () with 0 -> `Full | 1 -> `Canonical | m -> fail "bad mode %d" m
     in
-    let depth = i32 () in
+    let depth = varint () in
     let status =
       match u8 () with
       | 0 -> Complete
-      | 1 -> Truncated (Max_states (i32 ()))
+      | 1 -> Truncated (Max_states (varint ()))
       | 2 ->
           let s = Int64.float_of_bits (i64 ()) in
           if not (s > 0.0 && Float.is_finite s) then fail "bad time budget";
@@ -678,70 +743,116 @@ let deserialize spec blob =
     in
     if mode = `Full && not (Reduction.is_none reduce) then
       fail "full mode cannot carry a reduction";
-    let n = i32 () in
+    let n = varint () in
     if n <> Spec.n spec then
       fail "process count mismatch (snapshot has %d, spec has %d)" n
         (Spec.n spec);
-    let nstr = i32 () in
+    let nstr = varint () in
     if nstr > len then fail "oversized string table";
     let strings = Array.init nstr (fun _ -> str ()) in
-    let getstr i = if i >= nstr then fail "dangling string reference" else strings.(i) in
-    let count = i32 () in
-    if count < 1 || count > len then fail "implausible computation count";
+    let getstr k = if k >= nstr then fail "dangling string reference" else strings.(k) in
+    (* the event table: every entry is validated here, once, however
+       many computations end in it *)
+    let nev = varint () in
+    if nev > len then fail "oversized event table";
+    let seen = EventTbl.create (2 * nev) in
+    let events =
+      Array.init nev (fun k ->
+          let pid_field what =
+            let q = varint () in
+            if q >= n then fail "event %d: %s %d out of range" k what q;
+            Pid.of_int q
+          in
+          let kind = u8 () in
+          let pid = pid_field "pid" in
+          let lseq = varint () in
+          let message peer_is =
+            let peer = pid_field peer_is in
+            let seq = varint () in
+            (peer, seq, getstr (varint ()))
+          in
+          let e =
+            match kind with
+            | 0 -> Event.internal ~pid ~lseq (getstr (varint ()))
+            | 1 ->
+                let dst, seq, payload = message "destination" in
+                Event.send ~pid ~lseq (Msg.make ~src:pid ~dst ~seq ~payload)
+            | 2 ->
+                let src, seq, payload = message "source" in
+                Event.receive ~pid ~lseq (Msg.make ~src ~dst:pid ~seq ~payload)
+            | t -> fail "bad event kind %d" t
+          in
+          (* a repeat would split one [p]-class in two: class ids are
+             interned by event id below *)
+          if EventTbl.mem seen e then fail "event %d repeats an earlier entry" k;
+          EventTbl.add seen e ();
+          e)
+    in
+    let count = varint () in
+    if count < 1 || count - 1 > (len - !pos) / 2 then
+      fail "implausible computation count";
     let comps = Array.make count Trace.empty in
+    let parents = Array.make count (-1) in
     let class_ids_by_pid = Array.init n (fun _ -> Array.make count 0) in
-    let step_tbls = Array.init n (fun _ -> StepTbl.create 64) in
+    (* per process and per interned projection (class id): its length
+       and its send count, i.e. the lseq and the send seq of the next
+       event on that process *)
+    let proj_len = Array.init n (fun _ -> Array.make 64 0) in
+    let proj_sends = Array.init n (fun _ -> Array.make 64 0) in
+    let steps = Array.init n (fun _ -> IntTbl.create 64) in
     let next_ids = Array.make n 1 in
-    let intern pi parent_id e =
-      let key = (parent_id, e) in
-      match StepTbl.find_opt step_tbls.(pi) key with
+    (* the enumerator's trie keyed by (class id, event id) instead of
+       (class id, event): table entries are pairwise distinct, so both
+       keys hand out the same ids in the same order *)
+    let intern pi pc eid e =
+      let key = (pc * nev) + eid in
+      match IntTbl.find_opt steps.(pi) key with
       | Some id -> id
       | None ->
           let id = next_ids.(pi) in
           next_ids.(pi) <- id + 1;
-          StepTbl.add step_tbls.(pi) key id;
+          IntTbl.add steps.(pi) key id;
+          proj_len.(pi) <- grow proj_len.(pi) id;
+          proj_sends.(pi) <- grow proj_sends.(pi) id;
+          proj_len.(pi).(id) <- proj_len.(pi).(pc) + 1;
+          proj_sends.(pi).(id) <-
+            (proj_sends.(pi).(pc) + if Event.is_send e then 1 else 0);
           id
     in
+    let prev = ref 0 in
     for i = 1 to count - 1 do
-      let parent = i32 () in
+      let delta = unzigzag (varint ()) in
+      if delta < 0 then fail "parent index decreases at computation %d" i;
+      let parent = !prev + delta in
       if parent >= i then fail "parent index %d not before child %d" parent i;
-      let pi = i32 () in
-      if pi >= n then fail "pid %d out of range" pi;
-      let pid = Pid.of_int pi in
-      let lseq = i32 () in
+      prev := parent;
+      let eid = varint () in
+      if eid >= nev then fail "event id %d out of range at computation %d" eid i;
+      let e = events.(eid) in
+      let pi = Pid.to_int e.Event.pid in
       let pz = comps.(parent) in
-      (* lseq is derivable from the parent: reject inconsistent bodies
-         rather than building traces that violate Trace.well_formed *)
-      if lseq <> Trace.local_length pz pid then
+      if Trace.length pz >= depth then
+        fail "computation %d is longer than depth %d" i depth;
+      let pc = class_ids_by_pid.(pi).(parent) in
+      (* lseq and seq are derivable from the parent: reject inconsistent
+         bodies rather than building traces that violate
+         Trace.well_formed *)
+      if e.Event.lseq <> proj_len.(pi).(pc) then
         fail "inconsistent local sequence number at computation %d" i;
-      let e =
-        match u8 () with
-        | 0 -> Event.internal ~pid ~lseq (getstr (i32 ()))
-        | 1 ->
-            let dst = i32 () in
-            if dst >= n then fail "destination %d out of range" dst;
-            let seq = i32 () in
-            if seq <> Trace.send_count pz pid then
-              fail "inconsistent send sequence number at computation %d" i;
-            let payload = getstr (i32 ()) in
-            Event.send ~pid ~lseq
-              (Msg.make ~src:pid ~dst:(Pid.of_int dst) ~seq ~payload)
-        | 2 ->
-            let src = i32 () in
-            if src >= n then fail "source %d out of range" src;
-            let seq = i32 () in
-            let payload = getstr (i32 ()) in
-            let m = Msg.make ~src:(Pid.of_int src) ~dst:pid ~seq ~payload in
-            if not (List.exists (Msg.equal m) (Trace.in_flight pz)) then
-              fail "receive of a message not in flight at computation %d" i;
-            Event.receive ~pid ~lseq m
-        | t -> fail "bad event kind %d" t
-      in
+      (match e.Event.kind with
+      | Event.Send m ->
+          if m.Msg.seq <> proj_sends.(pi).(pc) then
+            fail "inconsistent send sequence number at computation %d" i
+      | Event.Receive m ->
+          if not (Trace.is_in_flight pz m) then
+            fail "receive of a message not in flight at computation %d" i
+      | Event.Internal _ -> ());
       comps.(i) <- Trace.snoc pz e;
+      parents.(i) <- parent;
       for q = 0 to n - 1 do
         class_ids_by_pid.(q).(i) <- class_ids_by_pid.(q).(parent)
       done;
-      class_ids_by_pid.(pi).(i) <- intern pi class_ids_by_pid.(pi).(parent) e
+      class_ids_by_pid.(pi).(i) <- intern pi pc eid e
     done;
     if !pos <> len then fail "%d trailing bytes" (len - !pos);
     (* spot-check against the spec the caller claims this snapshot is
@@ -749,8 +860,6 @@ let deserialize spec blob =
        computations (catches key collisions and spec drift) *)
     if count > 1 && not (Spec.valid spec comps.(count - 1)) then
       fail "snapshot is not a universe of the given spec";
-    let idx = TraceTbl.create (2 * count) in
-    Array.iteri (fun i z -> TraceTbl.replace idx z i) comps;
     Ok
       {
         spec;
@@ -759,7 +868,8 @@ let deserialize spec blob =
         status;
         reduce;
         comps;
-        idx;
+        parents;
+        idx = lazy (index_of comps);
         class_ids_by_pid;
         orbit_idx = None;
         rep_sigma = None;

@@ -109,7 +109,10 @@ val sample : t -> choose:(int -> int) -> Trace.t
 
 val index : t -> Trace.t -> int option
 (** Exact lookup of a trace (as stored — canonical form in
-    [`Canonical] mode). *)
+    [`Canonical] mode). The trace index behind it is built on the first
+    lookup ({!index}, {!find} and what calls them, such as temporal
+    successors), so universes that are only counted or asked about
+    knowledge never pay for it. *)
 
 val find : t -> Trace.t -> int option
 (** Like {!index} but canonicalizes first in [`Canonical] mode, so any
@@ -158,28 +161,40 @@ val prefixes_of : t -> int -> int list
     [i] (in [`Canonical] mode: whose class representative is a prefix). *)
 
 val serialize : t -> (string, string) result
-(** Compact binary body of the universe's interned-projection
-    representation: computation [i] is stored as (parent index, one
-    event) with payloads/tags going through a first-occurrence string
-    table, exploiting prefix-closure — no trace is written twice. The
-    spec itself is {e not} stored; pair the body with a cache key that
-    pins down (protocol, params, depth, faults, reduce, mode) and hand
-    the same spec back to {!deserialize}. [Error] for symmetry-reduced
-    universes, whose orbit tables have no serialized form. The body
-    carries no framing — version stamp, key and checksum belong to the
-    snapshot container layered on top (DESIGN.md §14). *)
+(** Compact binary body of the universe, written in one pass over the
+    computations. A universe is a prefix-closed tree in discovery order,
+    so computation [i] is stored as its parent's index (a varint delta
+    from the previous record's parent — parents never decrease) plus an
+    id into an event table that lists each distinct event once; strings
+    (payloads, tags) go through a table of their own. A record is
+    typically two bytes. The spec itself is {e not} stored; pair the
+    body with a cache key that pins down (protocol, params, depth,
+    faults, reduce, mode) and hand the same spec back to
+    {!deserialize}. [Error] for symmetry-reduced universes, whose orbit
+    tables have no serialized form. The body carries no framing —
+    version stamp, key and checksum belong to the snapshot container
+    layered on top (DESIGN.md §14), whose magic must change whenever
+    this layout does. *)
 
 val deserialize : Spec.t -> string -> (t, string) result
 (** Rebuild a universe from a {!serialize} body, replaying the stored
     events through the same class-id interning trie in the same
     discovery order, so [class_ids], [find] and every knowledge query
-    answer bit-identically to the originally enumerated universe. Every
-    read is bounds-checked and cross-validated against derivable
-    invariants (parents precede children, [lseq]/[seq] match the parent
-    trace, receives consume in-flight messages, the deepest computation
-    satisfies [Spec.valid]); any violation — truncation, bit flips, a
-    body for a different spec — yields [Error], never a wrong
-    universe. *)
+    answer bit-identically to the originally enumerated universe.
+
+    Every read is bounds-checked and cross-validated, at O(1) per
+    computation except the in-flight check of a receive, which scans
+    the parent trace without allocating. Each event-table entry is
+    checked once (kind tag, pid and peer below [n], string id in range,
+    no repeated entry) and its [Event.t] is shared by every trace that
+    ends in it. Each record is checked against its parent: the parent
+    precedes the child and does not decrease, the event id is in range,
+    the child is no longer than the depth, [lseq] and a send's [seq]
+    match the parent's projection (tracked per interned class id),
+    and a receive consumes a message in flight. Finally the deepest
+    computation must satisfy [Spec.valid]. Any violation — truncation,
+    bit flips, a body for a different spec — yields [Error], never a
+    wrong universe. *)
 
 val pp_stats : Format.formatter -> t -> unit
 (** One-line summary: size, depth, mode. *)

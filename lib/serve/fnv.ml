@@ -1,12 +1,13 @@
+(* a [for] loop keeps [h] unboxed; a [String.iter] closure would box an
+   Int64 per byte *)
 let fnv64 s =
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h :=
-        Int64.mul
-          (Int64.logxor !h (Int64.of_int (Char.code c)))
-          0x100000001b3L)
-    s;
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        0x100000001b3L
+  done;
   !h
 
 let hex64 h = Printf.sprintf "%016Lx" h

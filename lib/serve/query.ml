@@ -323,11 +323,11 @@ let run_knows st u =
             (* report the real processes only, not fault daemons *)
             for i = 0 to st.base_n - 1 do
               let p = Pid.of_int i in
-              let k = Knowledge.knows_p u p fact in
+              (* count the extent over stored indices directly: no trace
+                 lookups, so the universe's trace index is never built *)
               let count =
-                Universe.fold
-                  (fun _ z acc -> if Prop.eval k z then acc + 1 else acc)
-                  u 0
+                Bitset.cardinal
+                  (Knowledge.knows_prop_ext u (Pset.singleton p) fact)
               in
               Format.fprintf fmt "  %a knows it in %d / %d computations@."
                 Pid.pp p count (Universe.size u)

@@ -138,7 +138,10 @@ let obtain t st ~mode ~reduce ~key =
           (match dir with
           | None -> ()
           | Some dir -> (
-              match Snapshot.save ~dir ~key u with
+              match
+                Hpl_obs.span "serve.snapshot_save" (fun () ->
+                    Snapshot.save ~dir ~key u)
+              with
               | Ok () ->
                   t.c.snapshot_write <- t.c.snapshot_write + 1;
                   Hpl_obs.count "server.snapshot_write" 1
@@ -149,7 +152,10 @@ let obtain t st ~mode ~reduce ~key =
           match t.cfg.cache_dir with
           | None -> enumerate_and_snapshot None
           | Some dir -> (
-              match Snapshot.load ~dir ~key st.Query.spec with
+              match
+                Hpl_obs.span "serve.snapshot_load" (fun () ->
+                    Snapshot.load ~dir ~key st.Query.spec)
+              with
               | Ok u ->
                   t.c.snapshot_load <- t.c.snapshot_load + 1;
                   Hpl_obs.count "server.snapshot_load" 1;

@@ -5,7 +5,7 @@ type error = Absent | Cache_invalid of string
 (* Bumping the format (or Universe's body encoding) means bumping this
    string: old files then fail the magic check and are re-enumerated,
    which is exactly the invalidation rule we want. *)
-let magic = "HPLSNAP1"
+let magic = "HPLSNAP2"
 
 let path_of ~dir ~key =
   Filename.concat dir (Fnv.hex64 (Fnv.fnv64 key) ^ ".hplsnap")
