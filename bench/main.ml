@@ -669,6 +669,35 @@ let snapshot_rows () =
           None );
       ])
 
+(* -- per-class evaluation rows (DESIGN.md §9) ---------------------------
+
+   The daemon's memory hits are atom evaluations: an [extent] of local
+   leaves (mesh:5 [all_sent], one leaf per process) and a [knows] that
+   reuses one atom extent for every process (star-flood:6 at depth 8,
+   both atoms, all six processes), as [Query] runs them. *)
+let eval_rows () =
+  fresh_heap ();
+  Hpl_protocols.Builtins.init ();
+  let module Query = Hpl_serve.Query in
+  let get = function Ok v -> v | Error e -> failwith ("bench: " ^ e) in
+  let universe proto depth =
+    let st = get (Query.resolve ~proto ~depth ()) in
+    let reduce = get (Query.resolve_reduce st ~mode:`Canonical "none") in
+    (st, Query.enumerate ~mode:`Canonical st ~reduce)
+  in
+  let mesh, u_mesh = universe "mesh:5" "6" in
+  let flood, u_flood = universe "star-flood:6" "8" in
+  let extent =
+    min_time_ns ~runs:20 (fun () -> Query.run_extent mesh u_mesh ~atom:"all_sent")
+  in
+  let knows =
+    min_time_ns ~runs:20 (fun () -> Query.run_knows flood u_flood)
+  in
+  [
+    ("hpl/extent/local/mesh:5-d6/minwall", Some extent, "ns/run", None);
+    ("hpl/knows/star-flood:6-d8/minwall", Some knows, "ns/run", None);
+  ]
+
 (* Machine-readable results so successive PRs can track the perf
    trajectory. One JSON object per benchmark: {name, value, unit, r2};
    [unit] says what the number measures ("ns/run", "states",
@@ -761,7 +790,7 @@ let run_benchmarks () =
          (name, estimate ols, "ns/run", Analyze.OLS.r_square ols))
        rows
     @ early_rows @ phase_rows () @ mc_rows () @ serve_rows ()
-    @ snapshot_rows ())
+    @ snapshot_rows () @ eval_rows ())
 
 (* -- disabled-probe overhead guard --------------------------------------
 
@@ -935,12 +964,13 @@ let run_mc () =
   merge_bench_json "BENCH.json" rows;
   print_endline "BENCH.json updated"
 
-(* --serve: measure the daemon's warm-cache throughput and the snapshot
-   rows alone and merge them into BENCH.json in place — the CI serve
-   job's bench step, same line-based merge as --mc. *)
+(* --serve: measure the daemon's warm-cache throughput, the snapshot
+   rows and the evaluation rows alone and merge them into BENCH.json in
+   place — the CI serve job's bench step, same line-based merge as
+   --mc. *)
 let run_serve () =
-  print_endline "=== serve warm-cache throughput and snapshots ===";
-  let rows = serve_rows () @ snapshot_rows () in
+  print_endline "=== serve warm-cache throughput, snapshots, evaluation ===";
+  let rows = serve_rows () @ snapshot_rows () @ eval_rows () in
   List.iter
     (fun (name, value, unit_, _) ->
       match value with

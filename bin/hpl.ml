@@ -563,15 +563,13 @@ let knew path nprocs who atom =
       let b =
         match String.split_on_char ':' atom with
         | [ "acted"; p ] ->
-            let p = int_of_string p in
-            Prop.make atom (fun c -> Trace.local_length c (Pid.of_int p) > 0)
+            Prop.local (Pid.of_int (int_of_string p)) atom (fun h -> h <> [])
         | [ "sent"; p ] ->
-            let p = int_of_string p in
-            Prop.make atom (fun c -> Trace.send_count c (Pid.of_int p) > 0)
+            Prop.local (Pid.of_int (int_of_string p)) atom
+              (List.exists Event.is_send)
         | [ "received"; p ] ->
-            let p = int_of_string p in
-            Prop.make atom (fun c ->
-                List.exists Event.is_receive (Trace.proj c (Pid.of_int p)))
+            Prop.local (Pid.of_int (int_of_string p)) atom
+              (List.exists Event.is_receive)
         | _ ->
             Printf.eprintf "unknown atom %S (use acted:N, sent:N, received:N)\n" atom;
             exit 1

@@ -45,9 +45,16 @@ let remove t i =
 
 let copy t = { n = t.n; words = Array.copy t.words }
 
+(* SWAR popcount of one word: bits 0..61 only, so the 64-bit masks are
+   cut to OCaml's 63-bit ints and the byte sums (at most 62) never
+   carry *)
 let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + (x land 1)) in
-  go x 0
+  let x = x - ((x lsr 1) land 0x1555_5555_5555_5555) in
+  let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  let x = x + (x lsr 8) in
+  let x = x + (x lsr 16) in
+  (x + (x lsr 32)) land 0x7f
 
 let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 let is_empty t = Array.for_all (fun w -> w = 0) t.words
@@ -83,17 +90,29 @@ let union_into a b =
   same_domain a b;
   Array.iteri (fun i w -> a.words.(i) <- a.words.(i) lor w) b.words
 
+(* [f] is still called in index order, one word assembled at a time *)
 let of_pred n f =
   let t = create n in
-  for i = 0 to n - 1 do
-    if f i then add t i
+  for k = 0 to nwords n - 1 do
+    let base = k * bits in
+    let w = ref 0 in
+    for b = 0 to min bits (n - base) - 1 do
+      if f (base + b) then w := !w lor (1 lsl b)
+    done;
+    t.words.(k) <- !w
   done;
   t
 
 let iter f t =
-  for i = 0 to t.n - 1 do
-    if t.words.(i / bits) land (1 lsl (i mod bits)) <> 0 then f i
-  done
+  Array.iteri
+    (fun k w ->
+      let w = ref w and i = ref (k * bits) in
+      while !w <> 0 do
+        if !w land 1 <> 0 then f !i;
+        w := !w lsr 1;
+        incr i
+      done)
+    t.words
 
 let fold f t init =
   let acc = ref init in

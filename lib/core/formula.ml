@@ -438,12 +438,8 @@ let eval u ~env formula =
 
 let check u ~env formula =
   let* p = eval u ~env formula in
-  let witness =
-    Universe.fold
-      (fun _ z acc ->
-        match acc with
-        | Some _ -> acc
-        | None -> if Prop.eval p z then None else Some z)
-      u None
-  in
-  match witness with None -> Ok `Valid | Some z -> Ok (`Fails_at z)
+  (* the least stored index outside the extent: the first computation,
+     in index order, where [p] fails *)
+  match Bitset.choose (Bitset.complement (Prop.extent u p)) with
+  | None -> Ok `Valid
+  | Some i -> Ok (`Fails_at (Universe.comp u i))

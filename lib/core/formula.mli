@@ -98,4 +98,4 @@ val check :
   t ->
   ([ `Valid | `Fails_at of Trace.t ], string) result
 (** Evaluate and test at every computation: [`Valid] or a witness
-    computation where the formula fails. *)
+    computation where the formula fails (the first in index order). *)

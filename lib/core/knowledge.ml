@@ -1,14 +1,20 @@
+(* [P knows b] is a union of [P]-classes (§4.2): mark every class with
+   a member outside [ext], then keep the members of the unmarked ones —
+   O(size) time and one byte per class, no per-class bitsets *)
 let knows_ext u ps ext =
   Hpl_obs.span "knowledge.knows_ext"
     ~args:(fun () -> [ ("pset", Pset.to_string ps) ])
   @@ fun () ->
-  let classes = Universe.classes u ps in
-  Hpl_obs.count "knowledge.classes_scanned" (Array.length classes);
-  let out = Bitset.create (Universe.size u) in
-  Array.iter
-    (fun cls -> if Bitset.subset cls ext then Bitset.union_into out cls)
-    classes;
-  out
+  let ids = Universe.pset_class_ids u ps in
+  let size = Array.length ids in
+  if Bitset.length ext <> size then invalid_arg "Bitset: domain mismatch";
+  Hpl_obs.count "knowledge.classes_scanned" size;
+  let nclasses = 1 + Array.fold_left Int.max (-1) ids in
+  let outside = Bytes.make nclasses '\000' in
+  Bitset.iter
+    (fun i -> Bytes.set outside ids.(i) '\001')
+    (Bitset.complement ext);
+  Bitset.of_pred size (fun i -> Bytes.get outside ids.(i) = '\000')
 
 let knows_ext_naive u ps ext =
   let size = Universe.size u in
@@ -61,13 +67,18 @@ let knows_sym u g ps b =
   done;
   Bitset.of_pred size (fun i -> Symmetry.KeyTbl.find all_true id_keys.(i))
 
-let knows_prop_ext u ps b =
+let knows_prop_exts u b =
   match Universe.symmetry u with
   | Some g when not (Symmetry.is_trivial g) ->
-      Hpl_obs.span "knowledge.knows_sym"
-        ~args:(fun () -> [ ("pset", Pset.to_string ps) ])
-      @@ fun () -> knows_sym u g ps b
-  | _ -> knows_ext u ps (Prop.extent u b)
+      fun ps ->
+        Hpl_obs.span "knowledge.knows_sym"
+          ~args:(fun () -> [ ("pset", Pset.to_string ps) ])
+        @@ fun () -> knows_sym u g ps b
+  | _ ->
+      let ext = Prop.extent u b in
+      fun ps -> knows_ext u ps ext
+
+let knows_prop_ext u ps b = knows_prop_exts u b ps
 
 let knows u ps b =
   let ext = knows_prop_ext u ps b in

@@ -13,7 +13,11 @@
 
 val knows_ext : Universe.t -> Pset.t -> Bitset.t -> Bitset.t
 (** Extensional core: indices whose whole [\[P\]]-class lies in the
-    given extent. *)
+    given extent. Two linear passes over {!Universe.pset_class_ids}:
+    mark every class with a member outside the extent, then keep the
+    members of the unmarked classes — O(size) time, O(classes) extra
+    memory. The [knowledge.classes_scanned] counter adds up the class
+    ids read (one per stored computation). *)
 
 val knows_ext_naive : Universe.t -> Pset.t -> Bitset.t -> Bitset.t
 (** Reference implementation scanning all pairs with the trace-level
@@ -30,6 +34,13 @@ val knows_prop_ext : Universe.t -> Pset.t -> Prop.t -> Bitset.t
     even for predicates that are not themselves symmetric. The other
     epistemic operators ({!Group}, {!Common_knowledge}) build on this
     entry point. *)
+
+val knows_prop_exts : Universe.t -> Prop.t -> Pset.t -> Bitset.t
+(** [knows_prop_exts u b] is [fun ps -> knows_prop_ext u ps b] with
+    [Prop.extent u b] computed once, before the first [ps]: the form to
+    use when asking the same [b] of several process sets. On a
+    symmetry-reduced universe each application quantifies over the
+    orbit expansion as {!knows_prop_ext} does. *)
 
 val knows : Universe.t -> Pset.t -> Prop.t -> Prop.t
 (** [knows u p b] is the predicate "[P] knows [b]". Evaluating it at a

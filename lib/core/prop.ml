@@ -1,29 +1,52 @@
-type t = { name : string; eval : Trace.t -> bool }
+(* A predicate is its pointwise meaning [eval] plus, where the
+   combinators could keep it, a [shape] that [extent] walks instead of
+   calling [eval] on every stored computation. [Opaque] is the only
+   shape whose extent needs one call per computation; a tree with no
+   other leaf stays [Opaque] itself, so an all-opaque formula costs one
+   composed call per computation, as before. *)
+type t = { name : string; eval : Trace.t -> bool; shape : shape }
 
-let make name eval = { name; eval }
+and shape =
+  | Opaque
+  | Const of bool
+  | Local of Pid.t * (Event.t list -> bool)
+  | Not of t
+  | Bin of binop * t * t
+  | Extent of Universe.t * Bitset.t
+
+and binop = And | Or | Implies | Iff
+
+let make name eval = { name; eval; shape = Opaque }
 let name b = b.name
 let eval b x = b.eval x
 let holds = eval
-let tt = make "true" (fun _ -> true)
-let ff = make "false" (fun _ -> false)
+let rename name b = { b with name }
+let structured b = match b.shape with Opaque -> false | _ -> true
+let tt = { name = "true"; eval = (fun _ -> true); shape = Const true }
+let ff = { name = "false"; eval = (fun _ -> false); shape = Const false }
 let const c = if c then tt else ff
-let not_ b = make (Printf.sprintf "¬(%s)" b.name) (fun x -> not (b.eval x))
 
-let and_ a b =
-  make (Printf.sprintf "(%s ∧ %s)" a.name b.name) (fun x -> a.eval x && b.eval x)
+let local p name f =
+  { name; eval = (fun x -> f (Trace.proj x p)); shape = Local (p, f) }
 
-let or_ a b =
-  make (Printf.sprintf "(%s ∨ %s)" a.name b.name) (fun x -> a.eval x || b.eval x)
+let not_ b =
+  {
+    name = Printf.sprintf "¬(%s)" b.name;
+    eval = (fun x -> not (b.eval x));
+    shape = (if structured b then Not b else Opaque);
+  }
 
-let implies a b =
-  make
-    (Printf.sprintf "(%s ⇒ %s)" a.name b.name)
-    (fun x -> (not (a.eval x)) || b.eval x)
+let bin op sym eval a b =
+  {
+    name = Printf.sprintf "(%s %s %s)" a.name sym b.name;
+    eval;
+    shape = (if structured a || structured b then Bin (op, a, b) else Opaque);
+  }
 
-let iff a b =
-  make
-    (Printf.sprintf "(%s ⇔ %s)" a.name b.name)
-    (fun x -> Bool.equal (a.eval x) (b.eval x))
+let and_ a b = bin And "∧" (fun x -> a.eval x && b.eval x) a b
+let or_ a b = bin Or "∨" (fun x -> a.eval x || b.eval x) a b
+let implies a b = bin Implies "⇒" (fun x -> (not (a.eval x)) || b.eval x) a b
+let iff a b = bin Iff "⇔" (fun x -> Bool.equal (a.eval x) (b.eval x)) a b
 
 let conj = function
   | [] -> tt
@@ -33,19 +56,71 @@ let disj = function
   | [] -> ff
   | b :: rest -> List.fold_left or_ b rest
 
-let local_event_count p f name =
-  make name (fun x -> f (Trace.local_length x p))
+let local_event_count p f name = local p name (fun h -> f (List.length h))
+
+let per_computation u b =
+  Hpl_obs.count "prop.extent.evals" (Universe.size u);
+  Bitset.of_pred (Universe.size u) (fun i -> b.eval (Universe.comp u i))
+
+(* §4.2 fact 1: a predicate local to [p] is constant on each [p]-class,
+   so it is evaluated once, on the first member of each class. Class
+   ids are numbered in first-occurrence order, so the id at index [i]
+   is at most [i] and a [size]-long table covers them all. *)
+let per_class u p f =
+  let size = Universe.size u in
+  let ids = Universe.class_ids u p in
+  let value = Bytes.make size '\002' in
+  let evals = ref 0 in
+  let s =
+    Bitset.of_pred size (fun i ->
+        let c = ids.(i) in
+        match Bytes.get value c with
+        | '\002' ->
+            incr evals;
+            let v = f (Trace.proj (Universe.comp u i) p) in
+            Bytes.set value c (if v then '\001' else '\000');
+            v
+        | v -> v = '\001')
+  in
+  Hpl_obs.count "prop.extent.evals" !evals;
+  s
+
+let rec extent_of u b =
+  match b.shape with
+  | Opaque -> per_computation u b
+  | Const c ->
+      if c then Bitset.create_full (Universe.size u)
+      else Bitset.create (Universe.size u)
+  | Local (p, f) ->
+      if Pid.to_int p < Spec.n (Universe.spec u) then per_class u p f
+      else per_computation u b
+  | Extent (v, s) -> if v == u then Bitset.copy s else per_computation u b
+  | Not a -> Bitset.complement (extent_of u a)
+  | Bin (op, a, c) -> (
+      let x = extent_of u a and y = extent_of u c in
+      match op with
+      | And ->
+          Bitset.inter_into x y;
+          x
+      | Or ->
+          Bitset.union_into x y;
+          x
+      | Implies -> Bitset.union (Bitset.complement x) y
+      | Iff ->
+          Bitset.complement (Bitset.union (Bitset.diff x y) (Bitset.diff y x)))
 
 let extent u b =
   Hpl_obs.span "prop.extent"
     ~args:(fun () ->
       [ ("prop", b.name); ("size", string_of_int (Universe.size u)) ])
-  @@ fun () ->
-  Hpl_obs.count "prop.extent.evals" (Universe.size u);
-  Bitset.of_pred (Universe.size u) (fun i -> b.eval (Universe.comp u i))
+  @@ fun () -> extent_of u b
 
 let of_extent u name s =
-  make name (fun x -> Bitset.mem s (Universe.find_exn u x))
+  {
+    name;
+    eval = (fun x -> Bitset.mem s (Universe.find_exn u x));
+    shape = Extent (u, s);
+  }
 
 let respects_interleaving u b =
   let n = Universe.size u in

@@ -473,32 +473,37 @@ let class_ids u p = u.class_ids_by_pid.(Pid.to_int p)
 let pset_key ps = List.map Pid.to_int (Pset.to_list ps)
 
 let pset_class_ids u ps =
-  let key = pset_key ps in
-  match Hashtbl.find_opt u.pset_ids_memo key with
-  | Some ids -> ids
-  | None ->
-      let n = size u in
-      let ids =
-        if Pset.is_empty ps then Array.make n 0
-        else begin
-          (* combine per-process class ids into fresh ids *)
-          let tbl : (int list, int) Hashtbl.t = Hashtbl.create (2 * n) in
-          let next = ref 0 in
-          Array.init n (fun i ->
-              let combined =
-                List.map (fun p -> (class_ids u p).(i)) (Pset.to_list ps)
-              in
-              match Hashtbl.find_opt tbl combined with
-              | Some id -> id
-              | None ->
-                  let id = !next in
-                  incr next;
-                  Hashtbl.add tbl combined id;
-                  id)
-        end
-      in
-      Hashtbl.add u.pset_ids_memo key ids;
-      ids
+  match pset_key ps with
+  | [ p ] ->
+      (* the interning trie already numbers one process's classes in
+         first-occurrence order, which is what renumbering would give *)
+      u.class_ids_by_pid.(p)
+  | key -> (
+      match Hashtbl.find_opt u.pset_ids_memo key with
+      | Some ids -> ids
+      | None ->
+          let n = size u in
+          let ids =
+            if Pset.is_empty ps then Array.make n 0
+            else begin
+              (* combine per-process class ids into fresh ids *)
+              let tbl : (int list, int) Hashtbl.t = Hashtbl.create (2 * n) in
+              let next = ref 0 in
+              Array.init n (fun i ->
+                  let combined =
+                    List.map (fun p -> (class_ids u p).(i)) (Pset.to_list ps)
+                  in
+                  match Hashtbl.find_opt tbl combined with
+                  | Some id -> id
+                  | None ->
+                      let id = !next in
+                      incr next;
+                      Hashtbl.add tbl combined id;
+                      id)
+            end
+          in
+          Hashtbl.add u.pset_ids_memo key ids;
+          ids)
 
 let classes u ps =
   let key = pset_key ps in

@@ -142,11 +142,15 @@ val fold : (int -> Trace.t -> 'a -> 'a) -> t -> 'a -> 'a
 
 val class_ids : t -> Pid.t -> int array
 (** [class_ids u p] assigns to each computation index the id of its
-    [\[p\]]-class: [x \[p\] y ⟺ ids.(ix) = ids.(iy)]. *)
+    [\[p\]]-class: [x \[p\] y ⟺ ids.(ix) = ids.(iy)]. Ids are numbered
+    in first-occurrence order from 0, so the id at index [i] is at
+    most [i]. *)
 
 val pset_class_ids : t -> Pset.t -> int array
 (** Same for a process set [P] (intersection of the per-process
-    partitions); memoized per set. For the empty set all computations
+    partitions), numbered in first-occurrence order; memoized per set.
+    For a single process it is {!class_ids} itself, which the interning
+    trie already numbers that way. For the empty set all computations
     share class 0, matching [x \[{}\] y] for all x, y. *)
 
 val class_members : t -> Pset.t -> int -> Bitset.t

@@ -415,6 +415,11 @@ let build_spec ~file sp values =
 
 let build_atoms ~file sp values =
   let n = nproc ~file sp values in
+  (* an atom body reads the history of one process: a local leaf *)
+  let at a k =
+    Prop.local (Pid.of_int k) a.aname (fun hist ->
+        eval { efile = file; values; me = k; hist } a.body <> 0)
+  in
   List.map
     (fun a ->
       match a.scope with
@@ -425,29 +430,9 @@ let build_atoms ~file sp values =
               "atom '%s': process %d is out of range (this spec has processes \
                0..%d)"
               a.aname k (n - 1);
-          let pid = Pid.of_int k in
-          ( a.aname,
-            Prop.make a.aname (fun z ->
-                eval { efile = file; values; me = k; hist = Trace.proj z pid }
-                  a.body
-                <> 0) )
+          (a.aname, at a k)
       | Forall ->
-          ( a.aname,
-            Prop.make a.aname (fun z ->
-                let rec holds_at i =
-                  i >= n
-                  || eval
-                       {
-                         efile = file;
-                         values;
-                         me = i;
-                         hist = Trace.proj z (Pid.of_int i);
-                       }
-                       a.body
-                     <> 0
-                     && holds_at (i + 1)
-                in
-                holds_at 0) ))
+          (a.aname, Prop.rename a.aname (Prop.conj (List.init n (at a)))))
     sp.satoms
 
 let build_symmetry ~file sp values =

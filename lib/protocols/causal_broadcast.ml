@@ -178,8 +178,8 @@ let triangle_spec =
       else [ Spec.Recv_any ])
 
 let relay_first =
-  Prop.make "relayfirst" (fun z ->
-      match List.filter Event.is_receive (Trace.proj z (Pid.of_int 2)) with
+  Prop.local (Pid.of_int 2) "relayfirst" (fun h ->
+      match List.filter Event.is_receive h with
       | e :: _ -> (
           match Event.message e with
           | Some m -> String.equal m.Msg.payload "relay"

@@ -11,8 +11,7 @@ let spec ~n =
         let right = Pid.of_int ((Pid.to_int p + 1) mod n) in
         [ Spec.Send_to (right, "c"); Spec.Do "idle"; Spec.Recv_any ])
 
-let sent =
-  Prop.make "sent" (fun z -> Trace.send_count z (Pid.of_int 0) > 0)
+let sent = Prop.local (Pid.of_int 0) "sent" (List.exists Event.is_send)
 
 let idled =
   Protocol.did_prop "idled" (Pid.of_int 0) "idle"

@@ -21,9 +21,7 @@ let crashable_spec ~n =
         [ Spec.Do "tick"; Spec.Do crash_tag; Spec.Send_to (next, "ping"); Spec.Recv_any ])
 
 let crashed p =
-  Prop.make
-    (Printf.sprintf "%s crashed" (Pid.to_string p))
-    (fun z -> has_crashed (Trace.proj z p))
+  Prop.local p (Printf.sprintf "%s crashed" (Pid.to_string p)) has_crashed
 
 let nobody_ever_knows u ~observer ~subject =
   if Pid.equal observer subject then

@@ -224,8 +224,8 @@ let ring_spec ~n =
        else []))
 
 let informed_prop ~i =
-  Prop.make (Printf.sprintf "informed%d" i) (fun z ->
-      i = 0 || Protocol.recvs_of (Trace.proj z (Pid.of_int i)) rumor_tag > 0)
+  Prop.local (Pid.of_int i) (Printf.sprintf "informed%d" i) (fun h ->
+      i = 0 || Protocol.recvs_of h rumor_tag > 0)
 
 let relay_ring vs =
   let n = Protocol.get vs "n" in

@@ -18,12 +18,8 @@ let spec =
         | [ _ ] -> [ Spec.Send_to (p0, "pong") ]
         | _ -> [])
 
-let sent =
-  Prop.make "sent" (fun z -> Trace.send_count z p0 > 0)
-
-let received =
-  Prop.make "received" (fun z ->
-      List.exists Event.is_receive (Trace.proj z p1))
+let sent = Prop.local p0 "sent" (List.exists Event.is_send)
+let received = Prop.local p1 "received" (List.exists Event.is_receive)
 
 let round_trip =
   let ping = Msg.make ~src:p0 ~dst:p1 ~seq:0 ~payload:"ping" in

@@ -188,14 +188,13 @@ let did history tag =
       | _ -> false)
     history
 
-let did_prop name p tag =
-  Prop.make name (fun z -> did (Trace.proj z p) tag)
+let did_prop name p tag = Prop.local p name (fun h -> did h tag)
 
 let received_prop name p payload =
-  Prop.make name (fun z -> recvs_of (Trace.proj z p) payload > 0)
+  Prop.local p name (fun h -> recvs_of h payload > 0)
 
 let sent_prop name p payload =
-  Prop.make name (fun z -> sends_of (Trace.proj z p) payload > 0)
+  Prop.local p name (fun h -> sends_of h payload > 0)
 
 (* The star skeleton shared by wave/collect protocols (echo, quorum
    writes, several termination detectors): the hub sends [request] to

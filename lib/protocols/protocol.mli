@@ -195,7 +195,11 @@ val did_prop : string -> Pid.t -> string -> Prop.t
     to [p]. *)
 
 val received_prop : string -> Pid.t -> string -> Prop.t
+(** [received_prop name p payload] — "p received a [payload]"; local to
+    [p]. *)
+
 val sent_prop : string -> Pid.t -> string -> Prop.t
+(** [sent_prop name p payload] — "p sent a [payload]"; local to [p]. *)
 
 val star_spec :
   n:int ->

@@ -51,13 +51,13 @@ let ring_profile vs =
         { guard = [ Between (C_recvs, 0, Some (rounds - 1)) ]; acts = [ Recv ] };
       ])
 
-let all_sent n =
-  Prop.make "all_sent" (fun z ->
-      List.for_all
-        (fun i -> Trace.send_count z (Pid.of_int i) > 0)
-        (List.init n Fun.id))
+let p_sent name i =
+  Prop.local (Pid.of_int i) name (List.exists Event.is_send)
 
-let p_sent name i = Prop.make name (fun z -> Trace.send_count z (Pid.of_int i) > 0)
+(* one local leaf per process, so each is evaluated once per class *)
+let all_sent n =
+  Prop.rename "all_sent"
+    (Prop.conj (List.init n (fun i -> p_sent (Printf.sprintf "p%d_sent" i) i)))
 
 let ring =
   Protocol.make ~name:"ring"
@@ -206,8 +206,8 @@ let star_flood =
       let n = Protocol.get vs "n" in
       [
         ( "all_acked",
-          Prop.make "all_acked" (fun z ->
-              Protocol.recvs (Trace.proj z (Pid.of_int 0)) = n - 1) );
+          Prop.local (Pid.of_int 0) "all_acked" (fun h ->
+              Protocol.recvs h = n - 1) );
         ("p1_acked", p_sent "p1_acked" 1);
       ])
     ~symmetry:(fun vs -> member_generators (Protocol.get vs "n"))

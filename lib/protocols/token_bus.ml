@@ -30,9 +30,9 @@ let spec ~n =
       Spec.Recv_any :: passes)
 
 let holds p =
-  Prop.make
+  Prop.local p
     (Printf.sprintf "%s holds token" (Pid.to_string p))
-    (fun z -> balance_of_history p (Trace.proj z p) = 1)
+    (fun h -> balance_of_history p h = 1)
 
 let token_in_flight =
   Prop.make "token in flight" (fun z -> Trace.in_flight z <> [])

@@ -142,8 +142,7 @@ let ring_spec ~n =
        else []))
 
 let holds_prop ~i =
-  Prop.make (Printf.sprintf "holds%d" i) (fun z ->
-      let h = Trace.proj z (Pid.of_int i) in
+  Prop.local (Pid.of_int i) (Printf.sprintf "holds%d" i) (fun h ->
       (if i = 0 then 1 else 0) + Protocol.recvs h - Protocol.sends h = 1)
 
 let protocol =

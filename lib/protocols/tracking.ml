@@ -40,8 +40,7 @@ let notify_spec ~flips =
         @ [ Spec.Recv_any ]
       end)
 
-let bit =
-  Prop.make "bit" (fun z -> flips_in (Trace.proj z p0) mod 2 = 1)
+let bit = Prop.local p0 "bit" (fun h -> flips_in h mod 2 = 1)
 
 let tracker_always_unsure_after_flip u =
   let unsure = Knowledge.unsure u (Pset.singleton p1) bit in

@@ -40,13 +40,11 @@ let spec =
       end)
 
 let attack_decided =
-  Prop.make "attack decided" (fun z ->
-      List.exists
-        (fun e ->
-          match e.Event.kind with
-          | Event.Internal t -> String.equal t decide_tag
-          | _ -> false)
-        (Trace.proj z a))
+  Prop.local a "attack decided"
+    (List.exists (fun e ->
+         match e.Event.kind with
+         | Event.Internal t -> String.equal t decide_tag
+         | _ -> false))
 
 let knowledge_ladder u ~depth =
   let rec build k =

@@ -210,10 +210,9 @@ let spec =
       end)
 
 let committed =
-  Prop.make "committed" (fun z -> coord_decided (Trace.proj z c) = Some "commit")
+  Prop.local c "committed" (fun h -> coord_decided h = Some "commit")
 
-let aborted =
-  Prop.make "aborted" (fun z -> coord_decided (Trace.proj z c) = Some "abort")
+let aborted = Prop.local c "aborted" (fun h -> coord_decided h = Some "abort")
 
 let uncertainty_is_real u =
   let k_commit = Knowledge.knows u (Pset.singleton a) committed in

@@ -303,6 +303,15 @@ let run_stats u =
   in
   finish u ~out ~code:0
 
+(* Atoms are written against the fault-free system; under a fault
+   scenario they are evaluated through its view, which makes them
+   opaque. Without one they keep their structure (Prop.local leaves
+   are evaluated once per class). *)
+let through_view st b =
+  match st.scenario with
+  | None -> b
+  | Some _ -> Prop.make (Prop.name b) (fun z -> Prop.eval b (st.view z))
+
 let run_knows st u =
   let out, () =
     with_buffer @@ fun fmt ->
@@ -314,21 +323,16 @@ let run_knows st u =
     | atoms ->
         List.iter
           (fun (name, fact) ->
-            (* atoms are written against the fault-free system; evaluate
-               them through the fault view so they apply unchanged *)
-            let fact =
-              Prop.make (Prop.name fact) (fun z -> Prop.eval fact (st.view z))
-            in
+            let fact = through_view st fact in
             Format.fprintf fmt "fact %s: %a@." name Prop.pp fact;
+            (* the atom's extent is computed once for all processes *)
+            let knows = Knowledge.knows_prop_exts u fact in
             (* report the real processes only, not fault daemons *)
             for i = 0 to st.base_n - 1 do
               let p = Pid.of_int i in
               (* count the extent over stored indices directly: no trace
                  lookups, so the universe's trace index is never built *)
-              let count =
-                Bitset.cardinal
-                  (Knowledge.knows_prop_ext u (Pset.singleton p) fact)
-              in
+              let count = Bitset.cardinal (knows (Pset.singleton p)) in
               Format.fprintf fmt "  %a knows it in %d / %d computations@."
                 Pid.pp p count (Universe.size u)
             done)
@@ -342,13 +346,7 @@ let run_check st u f =
     with_buffer @@ fun fmt ->
     Format.fprintf fmt "%a@." Universe.pp_stats u;
     Format.fprintf fmt "formula: %a@." Formula.pp f;
-    let env name =
-      (* formula atoms are fault-free predicates; route them through
-         the fault view *)
-      Option.map
-        (fun b -> Prop.make (Prop.name b) (fun z -> Prop.eval b (st.view z)))
-        (Protocol.atom_env st.inst name)
-    in
+    let env name = Option.map (through_view st) (Protocol.atom_env st.inst name) in
     match Formula.check u ~env f with
     | Error e -> "hpl: " ^ e ^ "\n"
     | Ok `Valid ->
@@ -378,10 +376,7 @@ let run_extent st u ~atom =
           (Protocol.instance_name st.inst)
     | Some fact ->
         found := true;
-        let fact =
-          Prop.make (Prop.name fact) (fun z -> Prop.eval fact (st.view z))
-        in
-        let ext = Prop.extent u fact in
+        let ext = Prop.extent u (through_view st fact) in
         Format.fprintf fmt "atom %s: %d / %d computations@." atom
           (Bitset.cardinal ext) (Universe.size u);
         ""

@@ -72,6 +72,55 @@ let test_iteration () =
   check Alcotest.(option int) "choose" (Some 0) (Bitset.choose s);
   check Alcotest.(option int) "choose empty" None (Bitset.choose (Bitset.create 10))
 
+(* of_pred, iter and cardinal work a word at a time: compare them with a
+   bool-array model at lengths around the 62-bit word boundary, for
+   empty, full, sparse, dense and seeded-random contents *)
+let test_word_boundaries () =
+  let rng = Random.State.make [| 62 |] in
+  List.iter
+    (fun n ->
+      let patterns =
+        [
+          ("empty", Array.make n false);
+          ("full", Array.make n true);
+          ("ends", Array.init n (fun i -> i = 0 || i = n - 1));
+          ("every third", Array.init n (fun i -> i mod 3 = 0));
+          ("all but one", Array.init n (fun i -> i <> n / 2));
+          ("random", Array.init n (fun _ -> Random.State.bool rng));
+        ]
+      in
+      List.iter
+        (fun (what, model) ->
+          let what = Printf.sprintf "n=%d %s" n what in
+          let calls = ref [] in
+          let s =
+            Bitset.of_pred n (fun i ->
+                calls := i :: !calls;
+                model.(i))
+          in
+          check Alcotest.(list int) (what ^ ": of_pred calls in order")
+            (List.init n Fun.id) (List.rev !calls);
+          let members =
+            List.filter (fun i -> model.(i)) (List.init n Fun.id)
+          in
+          check tint (what ^ ": length") n (Bitset.length s);
+          check tint (what ^ ": cardinal") (List.length members)
+            (Bitset.cardinal s);
+          let seen = ref [] in
+          Bitset.iter (fun i -> seen := i :: !seen) s;
+          check Alcotest.(list int) (what ^ ": iter") members (List.rev !seen);
+          Array.iteri
+            (fun i b -> check tbool (Printf.sprintf "%s: mem %d" what i) b (Bitset.mem s i))
+            model;
+          check tint (what ^ ": complement cardinal")
+            (n - List.length members)
+            (Bitset.cardinal (Bitset.complement s));
+          check Alcotest.(option int) (what ^ ": choose")
+            (match members with [] -> None | i :: _ -> Some i)
+            (Bitset.choose s))
+        patterns)
+    [ 0; 1; 61; 62; 63; 124; 125 ]
+
 let qcheck_props =
   let gen_set =
     QCheck.make
@@ -113,5 +162,6 @@ let suite =
     ("algebra", `Quick, test_algebra);
     ("in-place ops", `Quick, test_into);
     ("iteration", `Quick, test_iteration);
+    ("word boundaries vs bool-array model", `Quick, test_word_boundaries);
   ]
   @ List.map (fun p -> QCheck_alcotest.to_alcotest ~verbose:false p) qcheck_props
